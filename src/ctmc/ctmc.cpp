@@ -1,9 +1,7 @@
 #include "ctmc/ctmc.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
-#include <unordered_map>
 
 #include "core/error.hpp"
 #include "obs/metrics.hpp"
@@ -12,13 +10,72 @@
 namespace dpma::ctmc {
 namespace {
 
-/// Maximal-progress filtered immediate branches of a composed state; empty
-/// when the state has no immediate transitions (i.e. is tangible).
-std::vector<VanishingBranch> immediate_branches(const lts::Lts::CsrView& csr,
-                                                lts::StateId state) {
+/// Dense scatter/gather accumulator over tangible ids: one double per
+/// tangible state plus the list of ids touched since the last drain, so
+/// merging k sparse terms costs O(k) and never allocates per state.  A
+/// merged value is 0.0 plus its terms in call order, so its bits depend only
+/// on the order of the adds (tests/ctmc_diff_test.cpp pins them).
+class SparseAccumulator {
+public:
+    explicit SparseAccumulator(std::size_t n) : value_(n, 0.0), seen_(n, 0) {}
+
+    void add(TangibleId t, double x) {
+        if (seen_[t] == 0) {
+            seen_[t] = 1;
+            touched_.push_back(t);
+        }
+        value_[t] += x;
+    }
+
+    /// Hands every touched (id, value) to \p emit in first-touch order and
+    /// resets the accumulator.
+    template <typename Emit>
+    void drain(Emit&& emit) {
+        for (const TangibleId t : touched_) {
+            emit(t, value_[t]);
+            value_[t] = 0.0;
+            seen_[t] = 0;
+        }
+        touched_.clear();
+    }
+
+private:
+    std::vector<double> value_;
+    std::vector<char> seen_;
+    std::vector<TangibleId> touched_;
+};
+
+/// One tangible state entered from a vanishing state, with its probability.
+struct ReachEntry {
+    TangibleId target;
+    double probability;
+};
+
+/// Rejects every transition kind a CTMC cannot carry.
+void check_markovian(const adl::ComposedModel& model, const lts::Transition& t) {
+    if (std::holds_alternative<lts::RateUnspecified>(t.rate)) {
+        throw ModelError("transition " + model.graph.actions()->name(t.action) +
+                         " has no rate: functional models cannot be solved as CTMCs");
+    }
+    if (lts::is_passive(t.rate)) {
+        throw ModelError("passive transition " + model.graph.actions()->name(t.action) +
+                         " survived composition (unattached interaction?)");
+    }
+    if (lts::is_general(t.rate)) {
+        throw ModelError("generally distributed transition " +
+                         model.graph.actions()->name(t.action) +
+                         " in a Markovian model; use the simulator instead");
+    }
+}
+
+/// Appends the maximal-progress filtered immediate branches of \p out to
+/// \p branches; appends nothing when the state has no immediate transition
+/// of positive weight at its top priority (i.e. is tangible).
+void append_immediate_branches(std::span<const lts::Transition> out,
+                               std::vector<VanishingBranch>& branches) {
     int best_priority = std::numeric_limits<int>::min();
     double total_weight = 0.0;
-    for (const lts::Transition& t : csr.out(state)) {
+    for (const lts::Transition& t : out) {
         if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
             if (imm->priority > best_priority) {
                 best_priority = imm->priority;
@@ -27,9 +84,8 @@ std::vector<VanishingBranch> immediate_branches(const lts::Lts::CsrView& csr,
             if (imm->priority == best_priority) total_weight += imm->weight;
         }
     }
-    std::vector<VanishingBranch> branches;
-    if (total_weight <= 0.0) return branches;
-    for (const lts::Transition& t : csr.out(state)) {
+    if (total_weight <= 0.0) return;
+    for (const lts::Transition& t : out) {
         if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
             // Zero-weight branches can never fire; dropping them keeps
             // degenerate parameterisations (e.g. loss probability 0) legal.
@@ -39,7 +95,6 @@ std::vector<VanishingBranch> immediate_branches(const lts::Lts::CsrView& csr,
             }
         }
     }
-    return branches;
 }
 
 }  // namespace
@@ -71,99 +126,104 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
     span.arg("states", static_cast<double>(n));
     MarkovModel out;
     out.tangible_of.assign(n, kNoTangible);
-    out.vanishing_branches.resize(n);
+    out.branch_offsets.reserve(n + 1);
+    out.branch_offsets.push_back(0);
     const lts::Lts::CsrView& csr = model.graph.csr();
 
-    // Classify states and sanity-check rates.
+    // Classify states, sanity-check rates and collect the immediate branches.
+    std::size_t num_vanishing = 0;
     for (lts::StateId s = 0; s < n; ++s) {
-        for (const lts::Transition& t : csr.out(s)) {
-            if (std::holds_alternative<lts::RateUnspecified>(t.rate)) {
-                throw ModelError(
-                    "transition " + model.graph.actions()->name(t.action) +
-                    " has no rate: functional models cannot be solved as CTMCs");
-            }
-            if (lts::is_passive(t.rate)) {
-                throw ModelError("passive transition " +
-                                 model.graph.actions()->name(t.action) +
-                                 " survived composition (unattached interaction?)");
-            }
-            if (lts::is_general(t.rate)) {
-                throw ModelError("generally distributed transition " +
-                                 model.graph.actions()->name(t.action) +
-                                 " in a Markovian model; use the simulator instead");
-            }
-        }
-        out.vanishing_branches[s] = immediate_branches(csr, s);
-        if (out.vanishing_branches[s].empty()) {
+        const std::span<const lts::Transition> transitions = csr.out(s);
+        for (const lts::Transition& t : transitions) check_markovian(model, t);
+        append_immediate_branches(transitions, out.branches);
+        out.branch_offsets.push_back(static_cast<std::uint32_t>(out.branches.size()));
+        if (out.branch_offsets[s + 1] == out.branch_offsets[s]) {
             out.tangible_of[s] = static_cast<TangibleId>(out.orig_of.size());
             out.orig_of.push_back(s);
+        } else {
+            ++num_vanishing;
         }
     }
 
-    // Topologically order the vanishing subgraph; reject immediate cycles.
+    // Kahn's algorithm on the vanishing subgraph, sources in state order;
+    // the order vector doubles as the FIFO.  Leftovers mean an immediate
+    // cycle.
     {
-        std::vector<int> indegree(n, 0);
-        std::vector<lts::StateId> vanishing;
+        std::vector<std::uint32_t> indegree(n, 0);
+        for (const VanishingBranch& b : out.branches) {
+            if (!out.is_tangible(b.target)) ++indegree[b.target];
+        }
+        std::vector<lts::StateId>& order = out.vanishing_topo_order;
+        order.reserve(num_vanishing);
         for (lts::StateId s = 0; s < n; ++s) {
-            if (out.is_tangible(s)) continue;
-            vanishing.push_back(s);
-            for (const VanishingBranch& b : out.vanishing_branches[s]) {
-                if (!out.is_tangible(b.target)) ++indegree[b.target];
-            }
+            if (!out.is_tangible(s) && indegree[s] == 0) order.push_back(s);
         }
-        std::deque<lts::StateId> ready;
-        for (lts::StateId s : vanishing) {
-            if (indegree[s] == 0) ready.push_back(s);
-        }
-        while (!ready.empty()) {
-            const lts::StateId s = ready.front();
-            ready.pop_front();
-            out.vanishing_topo_order.push_back(s);
-            for (const VanishingBranch& b : out.vanishing_branches[s]) {
+        for (std::size_t head = 0; head < order.size(); ++head) {
+            for (const VanishingBranch& b : out.vanishing_branches(order[head])) {
                 if (!out.is_tangible(b.target) && --indegree[b.target] == 0) {
-                    ready.push_back(b.target);
+                    order.push_back(b.target);
                 }
             }
         }
-        if (out.vanishing_topo_order.size() != vanishing.size()) {
+        if (order.size() != num_vanishing) {
             throw NumericalError(
                 "immediate-action cycle detected: the model lets time stand "
                 "still forever (check immediate self-triggering loops)");
         }
     }
 
-    // reach[v]: distribution over tangible states entered from vanishing v.
-    // Computed in reverse topological order so successors are ready.
-    std::vector<std::unordered_map<lts::StateId, double>> reach(n);
+    // reach(v): distribution over tangible states entered from vanishing v,
+    // one contiguous run of reach_pool per state.  Built in reverse
+    // topological order so successors are ready.
+    const std::size_t num_tangible = out.orig_of.size();
+    SparseAccumulator acc(num_tangible);
+    std::vector<ReachEntry> reach_pool;
+    std::vector<std::uint32_t> reach_begin(n, 0);
+    std::vector<std::uint32_t> reach_end(n, 0);
+    const auto reach = [&](lts::StateId v) {
+        return std::span<const ReachEntry>(reach_pool.data() + reach_begin[v],
+                                          reach_pool.data() + reach_end[v]);
+    };
     for (auto it = out.vanishing_topo_order.rbegin();
          it != out.vanishing_topo_order.rend(); ++it) {
         const lts::StateId v = *it;
-        auto& dist = reach[v];
-        for (const VanishingBranch& b : out.vanishing_branches[v]) {
+        for (const VanishingBranch& b : out.vanishing_branches(v)) {
             if (out.is_tangible(b.target)) {
-                dist[b.target] += b.probability;
+                acc.add(out.tangible_of[b.target], b.probability);
             } else {
-                for (const auto& [g, p] : reach[b.target]) {
-                    dist[g] += b.probability * p;
+                for (const ReachEntry& e : reach(b.target)) {
+                    acc.add(e.target, b.probability * e.probability);
                 }
             }
         }
+        reach_begin[v] = static_cast<std::uint32_t>(reach_pool.size());
+        acc.drain([&](TangibleId t, double p) { reach_pool.push_back(ReachEntry{t, p}); });
+        reach_end[v] = static_cast<std::uint32_t>(reach_pool.size());
     }
 
-    // Assemble the tangible CTMC.
-    Ctmc chain(out.orig_of.size());
-    for (TangibleId t = 0; t < out.orig_of.size(); ++t) {
+    // Assemble the tangible CTMC row by row.  Each added rate is checked and
+    // self-loops dropped exactly as Ctmc::add_rate does; the exit rate sums
+    // the added rates in the same order add_rate would.
+    Ctmc chain(num_tangible);
+    for (TangibleId t = 0; t < num_tangible; ++t) {
         const lts::StateId s = out.orig_of[t];
         bool has_timed = false;
+        double exit = 0.0;
+        const auto add = [&](TangibleId to, double rate) {
+            DPMA_REQUIRE(rate > 0.0, "CTMC rates must be positive");
+            if (to == t) return;
+            acc.add(to, rate);
+            exit += rate;
+        };
         for (const lts::Transition& tr : csr.out(s)) {
             const auto* exp_rate = std::get_if<lts::RateExp>(&tr.rate);
             if (exp_rate == nullptr) continue;  // tangible => no immediates enabled
             has_timed = true;
             if (out.is_tangible(tr.target)) {
-                chain.add_rate(t, out.tangible_of[tr.target], exp_rate->rate);
+                add(out.tangible_of[tr.target], exp_rate->rate);
             } else {
-                for (const auto& [g, p] : reach[tr.target]) {
-                    chain.add_rate(t, out.tangible_of[g], exp_rate->rate * p);
+                for (const ReachEntry& e : reach(tr.target)) {
+                    add(e.target, exp_rate->rate * e.probability);
                 }
             }
         }
@@ -173,13 +233,16 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
                                   ? "state " + std::to_string(s)
                                   : model.graph.state_name(s)));
         }
+        std::vector<RateEntry>& row = chain.rows_[t];
+        acc.drain([&](TangibleId to, double rate) { row.push_back(RateEntry{to, rate}); });
+        chain.exit_[t] = exit;
     }
     out.chain = std::move(chain);
 
     obs::counter("ctmc.builds").add();
-    obs::counter("ctmc.tangible_states").add(out.orig_of.size());
-    obs::counter("ctmc.vanishing_eliminated").add(n - out.orig_of.size());
-    span.arg("tangible", static_cast<double>(out.orig_of.size()));
+    obs::counter("ctmc.tangible_states").add(num_tangible);
+    obs::counter("ctmc.vanishing_eliminated").add(n - num_tangible);
+    span.arg("tangible", static_cast<double>(num_tangible));
 
     // Initial distribution.
     const lts::StateId init = model.graph.initial();
@@ -187,8 +250,8 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
     if (out.is_tangible(init)) {
         out.initial_distribution.emplace_back(out.tangible_of[init], 1.0);
     } else {
-        for (const auto& [g, p] : reach[init]) {
-            out.initial_distribution.emplace_back(out.tangible_of[g], p);
+        for (const ReachEntry& e : reach(init)) {
+            out.initial_distribution.emplace_back(e.target, e.probability);
         }
     }
     return out;

@@ -11,6 +11,7 @@
 /// on immediate transitions — once the steady-state vector is known.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "adl/compose.hpp"
@@ -29,6 +30,8 @@ struct RateEntry {
     double rate;
 };
 
+struct MarkovModel;
+
 /// Sparse CTMC.  Diagonal entries are implicit (exit rates).
 class Ctmc {
 public:
@@ -44,6 +47,9 @@ public:
     [[nodiscard]] double max_exit_rate() const;
 
 private:
+    /// Assembles whole rows from its own accumulator instead of add_rate.
+    friend MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing);
+
     std::vector<std::vector<RateEntry>> rows_;
     std::vector<double> exit_;
 };
@@ -65,10 +71,12 @@ struct MarkovModel {
     /// orig_of[t] = composed-graph state id of CTMC state t.
     std::vector<lts::StateId> orig_of;
 
-    /// For every vanishing composed state, its normalised immediate branches
-    /// (empty vector for tangible states).  The vanishing subgraph is acyclic
-    /// (checked during construction).
-    std::vector<std::vector<VanishingBranch>> vanishing_branches;
+    /// Normalised immediate branches of every composed state in CSR form:
+    /// state g owns branches[branch_offsets[g] .. branch_offsets[g+1]), an
+    /// empty range for tangible states.  Read through vanishing_branches().
+    /// The vanishing subgraph is acyclic (checked during construction).
+    std::vector<std::uint32_t> branch_offsets;
+    std::vector<VanishingBranch> branches;
 
     /// Vanishing states in a topological order of the vanishing subgraph
     /// (sources first); used to propagate visit frequencies.
@@ -80,6 +88,11 @@ struct MarkovModel {
 
     [[nodiscard]] bool is_tangible(lts::StateId g) const {
         return tangible_of[g] != kNoTangible;
+    }
+
+    /// Immediate branches of composed state \p g (empty when tangible).
+    [[nodiscard]] std::span<const VanishingBranch> vanishing_branches(lts::StateId g) const {
+        return {branches.data() + branch_offsets[g], branches.data() + branch_offsets[g + 1]};
     }
 };
 

@@ -32,7 +32,7 @@ std::vector<double> action_frequencies(const MarkovModel& markov,
     for (lts::StateId v : markov.vanishing_topo_order) {
         const double entry = vanishing_entry[v];
         if (entry == 0.0) continue;
-        for (const VanishingBranch& b : markov.vanishing_branches[v]) {
+        for (const VanishingBranch& b : markov.vanishing_branches(v)) {
             const double f = entry * b.probability;
             freq[b.action] += f;
             if (!markov.is_tangible(b.target)) {

@@ -1,8 +1,8 @@
 #include "ctmc/solve.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <deque>
 
 #include "core/error.hpp"
 #include "core/stats_math.hpp"
@@ -61,41 +61,25 @@ double max_abs_diff(const std::vector<double>& a, const std::vector<double>& b) 
     return best;
 }
 
-bool reaches_all(const Ctmc& chain, bool forward) {
-    const std::size_t n = chain.num_states();
-    std::vector<std::vector<TangibleId>> adj(n);
-    for (TangibleId s = 0; s < n; ++s) {
-        for (const RateEntry& e : chain.row(s)) {
-            if (forward) {
-                adj[s].push_back(e.target);
-            } else {
-                adj[e.target].push_back(s);
-            }
-        }
-    }
-    std::vector<char> seen(n, 0);
-    std::deque<TangibleId> queue{0};
-    seen[0] = 1;
-    std::size_t count = 1;
-    while (!queue.empty()) {
-        const TangibleId u = queue.front();
-        queue.pop_front();
-        for (TangibleId v : adj[u]) {
-            if (!seen[v]) {
-                seen[v] = 1;
-                ++count;
-                queue.push_back(v);
-            }
-        }
-    }
-    return count == n;
-}
-
 }  // namespace
 
 bool is_irreducible(const Ctmc& chain) {
     if (chain.num_states() == 0) return false;
-    return reaches_all(chain, true) && reaches_all(chain, false);
+    const auto bottoms = bottom_sccs(chain);
+    return bottoms.size() == 1 && bottoms.front().size() == chain.num_states();
+}
+
+double balance_residual(const Ctmc& chain, const std::vector<double>& pi) {
+    DPMA_REQUIRE(pi.size() == chain.num_states(),
+                 "steady-state vector does not match the chain");
+    std::vector<double> flow(chain.num_states(), 0.0);
+    for (TangibleId s = 0; s < chain.num_states(); ++s) {
+        flow[s] -= pi[s] * chain.exit_rate(s);
+        for (const RateEntry& e : chain.row(s)) flow[e.target] += pi[s] * e.rate;
+    }
+    double worst = 0.0;
+    for (const double f : flow) worst = std::max(worst, std::abs(f));
+    return worst;
 }
 
 void SolveDiagnostics::record_residual(double residual) {
@@ -121,6 +105,7 @@ std::string SolveDiagnostics::json() const {
                       ", \"states\": " + std::to_string(states) +
                       ", \"iterations\": " + std::to_string(iterations) +
                       ", \"final_residual\": " + obs::json_number(final_residual) +
+                      ", \"balance_residual\": " + obs::json_number(balance_residual) +
                       ", \"residual_stride\": " + std::to_string(residual_stride) +
                       ", \"residuals\": [";
     for (std::size_t i = 0; i < residuals.size(); ++i) {
@@ -136,44 +121,114 @@ std::vector<double> steady_state_gth(const Ctmc& chain) {
     DPMA_REQUIRE(n >= 1, "empty chain");
     if (n == 1) return {1.0};
 
-    // Dense off-diagonal rate matrix.
-    std::vector<std::vector<double>> a(n, std::vector<double>(n, 0.0));
-    for (TangibleId s = 0; s < n; ++s) {
-        for (const RateEntry& e : chain.row(s)) {
-            a[s][e.target] += e.rate;
-        }
-    }
+    // GTH state reduction (Grassmann, Taksar, Heyman; see Stewart,
+    // "Introduction to the Numerical Solution of Markov Chains", sect. 2.7)
+    // censors states n-1 .. 1.  Censoring k divides column k of the rows
+    // above it by k's departure rate s_k = sum_{j<k} a[k][j] and adds
+    // a[i][k] * a[k][j] to every a[i][j] with i, j < k, i != j.  Only
+    // additions, multiplications and divisions of non-negative numbers: no
+    // cancellation.
+    //
+    // Here the rows are reduced one at a time, from n-1 down (up-looking):
+    // row i is scattered into the dense workspace `w` and takes the updates
+    // of every censored k > i in descending k, exactly the order in which
+    // the step-by-step elimination would apply them, since a[i][k] is final
+    // once the steps above k are done.  Then its lower part a[i][j<i] is
+    // final too and is gathered into `lower`, and its divided upper part
+    // a[i][k>i] goes into `upper`.  Zero terms are skipped throughout: every
+    // entry is non-negative and KahanSum is Neumaier's, so adding a zero
+    // leaves every bit of a sum as it was, and only nonzeros are ever stored
+    // or visited.  With the elimination order and the ascending summation
+    // order kept, the result is bit-identical to the dense textbook loops.
+    struct Entry {
+        TangibleId index;
+        double value;
+    };
+    const std::size_t words = (n + 63) / 64;
+    std::vector<double> w(n, 0.0);
+    std::vector<std::uint64_t> live(words, 0);               // nonzeros of w
+    std::vector<std::uint64_t> lower_pattern(n * words, 0);  // row k's j < k
+    std::vector<double> departure(n, 0.0);
+    std::vector<Entry> lower;
+    std::vector<Entry> upper;
+    // Rows are reduced back to front, so each row's run in the pools lies
+    // just after the run of the row below it.
+    std::vector<std::uint32_t> lower_begin(n, 0), lower_end(n, 0);
+    std::vector<std::uint32_t> upper_begin(n, 0), upper_end(n, 0);
+    const auto mark = [&](std::size_t j) { live[j >> 6] |= std::uint64_t{1} << (j & 63); };
 
-    // Forward elimination, censoring states n-1 .. 1 (Grassmann, Taksar,
-    // Heyman; see Stewart, "Introduction to the Numerical Solution of Markov
-    // Chains", sect. 2.7).  Only additions/divisions of non-negative
-    // quantities: no cancellation.
-    for (std::size_t k = n - 1; k >= 1; --k) {
-        KahanSum departure;
-        for (std::size_t j = 0; j < k; ++j) departure.add(a[k][j]);
-        const double s = departure.value();
-        if (s <= 0.0) {
-            throw NumericalError(
-                "GTH: state " + std::to_string(k) +
-                " cannot reach lower-numbered states (chain not irreducible)");
+    for (std::size_t i = n; i-- > 0;) {
+        for (const RateEntry& e : chain.row(static_cast<TangibleId>(i))) {
+            if (e.target == i) continue;  // the diagonal never enters GTH
+            w[e.target] += e.rate;
+            mark(e.target);
         }
-        for (std::size_t i = 0; i < k; ++i) a[i][k] /= s;
-        for (std::size_t i = 0; i < k; ++i) {
-            const double f = a[i][k];
-            if (f == 0.0) continue;
-            for (std::size_t j = 0; j < k; ++j) {
-                if (j != i) a[i][j] += f * a[k][j];
+
+        // Censor the live upper entries k > i, highest first; an update
+        // only marks entries below k, so the scan never has to back up.
+        upper_begin[i] = static_cast<std::uint32_t>(upper.size());
+        const std::size_t diag_word = i >> 6;
+        for (std::size_t word_at = words; word_at-- > diag_word;) {
+            while (true) {
+                std::uint64_t word = live[word_at];
+                if (word_at == diag_word) word &= ~((std::uint64_t{2} << (i & 63)) - 1);
+                if (word == 0) break;
+                const std::size_t k =
+                    word_at * 64 + 63 - static_cast<std::size_t>(std::countl_zero(word));
+                live[word_at] &= ~(std::uint64_t{1} << (k & 63));
+                const double f = w[k] / departure[k];
+                w[k] = 0.0;
+                upper.push_back(Entry{static_cast<TangibleId>(k), f});
+                if (f == 0.0) continue;
+                // Row k's lower part may hit the diagonal w[i]; it is
+                // cleared below and never read.
+                for (std::uint32_t p = lower_begin[k]; p < lower_end[k]; ++p) {
+                    w[lower[p].index] += f * lower[p].value;
+                }
+                const std::uint64_t* pattern = &lower_pattern[k * words];
+                for (std::size_t q = 0; q <= (k - 1) >> 6; ++q) live[q] |= pattern[q];
             }
         }
+        upper_end[i] = static_cast<std::uint32_t>(upper.size());
+        w[i] = 0.0;
+        live[diag_word] &= ~(std::uint64_t{1} << (i & 63));
+
+        // Gather the final lower part in ascending order; its sum is s_i.
+        lower_begin[i] = static_cast<std::uint32_t>(lower.size());
+        KahanSum sum;
+        for (std::size_t word_at = 0; word_at <= diag_word; ++word_at) {
+            std::uint64_t word = live[word_at];
+            if (word_at == diag_word) word &= (std::uint64_t{1} << (i & 63)) - 1;
+            live[word_at] &= ~word;
+            lower_pattern[i * words + word_at] = word;
+            for (; word != 0; word &= word - 1) {
+                const std::size_t j =
+                    word_at * 64 + static_cast<std::size_t>(std::countr_zero(word));
+                sum.add(w[j]);
+                lower.push_back(Entry{static_cast<TangibleId>(j), w[j]});
+                w[j] = 0.0;
+            }
+        }
+        lower_end[i] = static_cast<std::uint32_t>(lower.size());
+        departure[i] = sum.value();
+        if (i > 0 && departure[i] <= 0.0) {
+            throw NumericalError(
+                "GTH: state " + std::to_string(i) +
+                " cannot reach lower-numbered states (chain not irreducible)");
+        }
     }
 
-    // Back substitution: unnormalised stationary weights.
+    // Back substitution, pi[k] = sum_{i<k} pi[i] a[i][k] in ascending i:
+    // scattered row by row into one accumulator per column, so each column
+    // receives its terms in the same ascending order.
     std::vector<double> pi(n, 0.0);
+    std::vector<KahanSum> column(n);
     pi[0] = 1.0;
-    for (std::size_t k = 1; k < n; ++k) {
-        KahanSum sum;
-        for (std::size_t i = 0; i < k; ++i) sum.add(pi[i] * a[i][k]);
-        pi[k] = sum.value();
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i > 0) pi[i] = column[i].value();
+        for (std::uint32_t p = upper_begin[i]; p < upper_end[i]; ++p) {
+            column[upper[p].index].add(pi[i] * upper[p].value);
+        }
     }
     normalize(pi);
     finish_solve(nullptr, "gth", n, 0, 0.0);
@@ -207,6 +262,7 @@ std::vector<double> steady_state_gauss_seidel(const Ctmc& chain,
         const double diff = max_abs_diff(pi, prev);
         if (diag != nullptr) diag->record_residual(diff);
         if (diff < options.tolerance) {
+            if (diag != nullptr) diag->balance_residual = balance_residual(chain, pi);
             finish_solve(diag, "gauss_seidel", n, iter + 1, diff);
             return pi;
         }
@@ -241,6 +297,7 @@ std::vector<double> steady_state_power(const Ctmc& chain, const SolveOptions& op
         pi.swap(next);
         if (diag != nullptr) diag->record_residual(diff);
         if (diff < options.tolerance) {
+            if (diag != nullptr) diag->balance_residual = balance_residual(chain, pi);
             finish_solve(diag, "power", n, iter + 1, diff);
             return pi;
         }
@@ -313,13 +370,17 @@ std::vector<std::vector<TangibleId>> bottom_sccs(const Ctmc& chain) {
             }
         }
     }
-    std::vector<std::vector<TangibleId>> out(static_cast<std::size_t>(num_sccs));
-    for (TangibleId v = 0; v < n; ++v) {
-        out[static_cast<std::size_t>(scc_of[v])].push_back(v);
-    }
+    // Bottom classes in order of their smallest member, members ascending.
+    std::vector<int> bottom_of(static_cast<std::size_t>(num_sccs), -1);
     std::vector<std::vector<TangibleId>> bottoms;
-    for (std::size_t c = 0; c < out.size(); ++c) {
-        if (is_bottom[c]) bottoms.push_back(std::move(out[c]));
+    for (TangibleId v = 0; v < n; ++v) {
+        const auto c = static_cast<std::size_t>(scc_of[v]);
+        if (!is_bottom[c]) continue;
+        if (bottom_of[c] < 0) {
+            bottom_of[c] = static_cast<int>(bottoms.size());
+            bottoms.emplace_back();
+        }
+        bottoms[static_cast<std::size_t>(bottom_of[c])].push_back(v);
     }
     return bottoms;
 }
@@ -355,10 +416,12 @@ std::vector<double> steady_state(const Ctmc& chain, const SolveOptions& options)
     DPMA_NAMED_SPAN(span, "ctmc.solve", "solve");
     span.arg("states", static_cast<double>(chain.num_states()));
     obs::counter("ctmc.solve.calls").add();
-    if (is_irreducible(chain)) {
-        return steady_state_irreducible(chain, options);
+    std::vector<std::vector<TangibleId>> bottoms;
+    {
+        DPMA_NAMED_SPAN(bscc_span, "ctmc.bscc", "solve");
+        bottoms = bottom_sccs(chain);
+        bscc_span.arg("bottoms", static_cast<double>(bottoms.size()));
     }
-    const auto bottoms = bottom_sccs(chain);
     if (bottoms.size() != 1) {
         throw NumericalError(
             "chain has " + std::to_string(bottoms.size()) +
@@ -366,22 +429,31 @@ std::vector<double> steady_state(const Ctmc& chain, const SolveOptions& options)
             "initial state (is the model deadlock-free?)");
     }
     const std::vector<TangibleId>& recurrent = bottoms.front();
-    std::vector<TangibleId> dense_of(chain.num_states(), kNoTangible);
-    for (std::size_t i = 0; i < recurrent.size(); ++i) {
-        dense_of[recurrent[i]] = static_cast<TangibleId>(i);
-    }
-    Ctmc sub(recurrent.size());
-    for (std::size_t i = 0; i < recurrent.size(); ++i) {
-        for (const RateEntry& e : chain.row(recurrent[i])) {
-            DPMA_ASSERT(dense_of[e.target] != kNoTangible,
-                        "edge leaves a bottom SCC");
-            sub.add_rate(static_cast<TangibleId>(i), dense_of[e.target], e.rate);
+    span.arg("recurrent", static_cast<double>(recurrent.size()));
+    std::vector<double> pi;
+    if (recurrent.size() == chain.num_states()) {
+        pi = steady_state_irreducible(chain, options);
+    } else {
+        std::vector<TangibleId> dense_of(chain.num_states(), kNoTangible);
+        for (std::size_t i = 0; i < recurrent.size(); ++i) {
+            dense_of[recurrent[i]] = static_cast<TangibleId>(i);
+        }
+        Ctmc sub(recurrent.size());
+        for (std::size_t i = 0; i < recurrent.size(); ++i) {
+            for (const RateEntry& e : chain.row(recurrent[i])) {
+                DPMA_ASSERT(dense_of[e.target] != kNoTangible,
+                            "edge leaves a bottom SCC");
+                sub.add_rate(static_cast<TangibleId>(i), dense_of[e.target], e.rate);
+            }
+        }
+        const std::vector<double> sub_pi = steady_state_irreducible(sub, options);
+        pi.assign(chain.num_states(), 0.0);
+        for (std::size_t i = 0; i < recurrent.size(); ++i) {
+            pi[recurrent[i]] = sub_pi[i];
         }
     }
-    const std::vector<double> sub_pi = steady_state_irreducible(sub, options);
-    std::vector<double> pi(chain.num_states(), 0.0);
-    for (std::size_t i = 0; i < recurrent.size(); ++i) {
-        pi[recurrent[i]] = sub_pi[i];
+    if (options.diagnostics != nullptr) {
+        options.diagnostics->balance_residual = balance_residual(chain, pi);
     }
     return pi;
 }

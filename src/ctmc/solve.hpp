@@ -20,12 +20,16 @@ namespace dpma::ctmc {
 /// hangs a SolveDiagnostics off SolveOptions.  For the iterative methods the
 /// residual history is the max-norm change of successive iterates, thinned
 /// to at most ~2048 samples (residual_stride reports the decimation factor);
-/// GTH is direct, so it reports zero iterations and an empty history.
+/// GTH is direct, so it reports zero iterations and an empty history.  The
+/// step size says when an iteration stopped, not how good its answer is:
+/// balance_residual is the true ||pi Q||_inf of the returned vector on the
+/// chain the caller passed, for every method.
 struct SolveDiagnostics {
     std::string method;            ///< "gth", "gauss_seidel" or "power"
     std::size_t states = 0;        ///< size of the chain actually solved
     std::size_t iterations = 0;
-    double final_residual = 0.0;
+    double final_residual = 0.0;   ///< last step size (0 for GTH)
+    double balance_residual = 0.0;
     std::size_t residual_stride = 1;
     std::vector<double> residuals;
 
@@ -48,27 +52,35 @@ struct SolveOptions {
     SolveDiagnostics* diagnostics = nullptr;
 };
 
-/// True when every state can reach every other state (checked via forward
-/// and backward reachability from state 0).
+/// True when every state can reach every other state (one Tarjan pass: a
+/// single bottom SCC holding every state).
 [[nodiscard]] bool is_irreducible(const Ctmc& chain);
 
 /// Bottom strongly connected components (recurrent classes) of the chain.
-/// Each inner vector lists the member states of one BSCC.
+/// Each inner vector lists the member states of one BSCC in ascending
+/// order; the classes are ordered by their smallest member.
 [[nodiscard]] std::vector<std::vector<TangibleId>> bottom_sccs(const Ctmc& chain);
+
+/// Balance residual ||pi Q||_inf: the largest net probability flow into any
+/// state under \p pi (zero for an exact stationary vector).
+[[nodiscard]] double balance_residual(const Ctmc& chain, const std::vector<double>& pi);
 
 /// Steady-state distribution, dispatching on chain size: GTH below the dense
 /// threshold, Gauss–Seidel (with power-iteration fallback) above.
 ///
-/// Chains with transient states (e.g. a client's one-shot prebuffering
-/// delay) are handled by restricting to the recurrent class: the chain must
-/// have exactly one bottom SCC, which receives all the probability mass;
+/// One Tarjan pass (span `ctmc.bscc`) finds the recurrent classes.  Chains
+/// with transient states (e.g. a client's one-shot prebuffering delay) are
+/// handled by restricting to the recurrent class: the chain must have
+/// exactly one bottom SCC, which receives all the probability mass;
 /// transient states get probability zero.  Multiple bottom SCCs raise
 /// NumericalError (the long-run behaviour would depend on the initial state).
 [[nodiscard]] std::vector<double> steady_state(const Ctmc& chain,
                                                const SolveOptions& options = {});
 
-/// GTH state reduction.  O(n^3) time, O(n^2) memory; exact up to rounding,
-/// no subtractions.
+/// GTH state reduction; exact up to rounding, no subtractions.  Only the
+/// nonzeros of the reduced rows are stored and visited, so time follows the
+/// fill-in (O(n^3) only for dense chains) and memory is the fill plus n^2
+/// bits of pattern.  Bit-identical to the dense textbook loops.
 [[nodiscard]] std::vector<double> steady_state_gth(const Ctmc& chain);
 
 /// Gauss–Seidel iteration on the balance equations pi Q = 0.

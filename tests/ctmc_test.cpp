@@ -264,6 +264,11 @@ TEST(BuildMarkov, EliminatesVanishingStates) {
     // Tangible: Start, Left, Right; vanishing: Choice.
     EXPECT_EQ(markov.chain.num_states(), 3u);
     EXPECT_EQ(markov.vanishing_topo_order.size(), 1u);
+    // Choice's two normalised branches, read through the CSR accessor.
+    const auto branches = markov.vanishing_branches(markov.vanishing_topo_order.front());
+    ASSERT_EQ(branches.size(), 2u);
+    EXPECT_DOUBLE_EQ(branches[0].probability + branches[1].probability, 1.0);
+    EXPECT_TRUE(markov.vanishing_branches(model.graph.initial()).empty());
 
     const auto pi = steady_state(markov.chain);
     // Mean cycle: 1 (Start) + 0.25 * 1/2 + 0.75 * 1/4  => check Start's

@@ -405,10 +405,14 @@ TEST(ObsDiagnostics, IterativeSolveRecordsResidualHistory) {
     EXPECT_GT(diagnostics.iterations, 0u);
     EXPECT_FALSE(diagnostics.residuals.empty());
     EXPECT_LE(diagnostics.final_residual, options.tolerance);
+    // The true balance residual of the answer, not the last step size.
+    EXPECT_DOUBLE_EQ(diagnostics.balance_residual, ctmc::balance_residual(chain, pi));
+    EXPECT_LE(diagnostics.balance_residual, 1e-10);
 
     std::string error;
     EXPECT_TRUE(obs::json_valid(diagnostics.json(), &error)) << error;
     EXPECT_NE(diagnostics.json().find("\"gauss_seidel\""), std::string::npos);
+    EXPECT_NE(diagnostics.json().find("\"balance_residual\""), std::string::npos);
 }
 
 TEST(ObsDiagnostics, ResidualHistoryIsThinnedNotUnbounded) {
@@ -430,11 +434,32 @@ TEST(ObsDiagnostics, DenseSolveReportsGth) {
     ctmc::SolveDiagnostics diagnostics;
     ctmc::SolveOptions options;
     options.diagnostics = &diagnostics;
-    (void)ctmc::steady_state(chain, options);
+    const auto pi = ctmc::steady_state(chain, options);
     EXPECT_EQ(diagnostics.method, "gth");
     EXPECT_EQ(diagnostics.states, 3u);
     EXPECT_EQ(diagnostics.iterations, 0u);
     EXPECT_TRUE(diagnostics.residuals.empty());
+    // GTH has no step size (final_residual 0) but a real balance residual.
+    EXPECT_EQ(diagnostics.final_residual, 0.0);
+    EXPECT_DOUBLE_EQ(diagnostics.balance_residual, ctmc::balance_residual(chain, pi));
+    EXPECT_LE(diagnostics.balance_residual, 1e-14);
+}
+
+TEST(ObsDiagnostics, BalanceResidualIsMeasuredOnTheWholeChain) {
+    // 0 -> 1 <-> 2: state 0 is transient, so GTH runs on {1, 2} only; the
+    // residual is still taken over the chain the caller passed.
+    ctmc::Ctmc chain(3);
+    chain.add_rate(0, 1, 1.0);
+    chain.add_rate(1, 2, 2.0);
+    chain.add_rate(2, 1, 3.0);
+    ctmc::SolveDiagnostics diagnostics;
+    ctmc::SolveOptions options;
+    options.diagnostics = &diagnostics;
+    const auto pi = ctmc::steady_state(chain, options);
+    EXPECT_EQ(diagnostics.states, 2u);
+    EXPECT_DOUBLE_EQ(diagnostics.balance_residual, ctmc::balance_residual(chain, pi));
+    // A vector that is not stationary shows up in the residual.
+    EXPECT_NEAR(ctmc::balance_residual(chain, {0.0, 0.5, 0.5}), 0.5, 1e-15);
 }
 
 TEST(ObsDiagnostics, ConvergenceJsonIsValid) {
