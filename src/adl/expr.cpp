@@ -1,6 +1,21 @@
 #include "adl/expr.hpp"
 
+#include <initializer_list>
+#include <string_view>
+
 namespace dpma::adl {
+namespace {
+
+/// Concatenation by appends.  GCC 12 at -O3 reports a false -Wrestrict
+/// overlap inside `"(" + std::string&&`, which breaks -DDPMA_WERROR=ON
+/// Release builds; appending to one string does not trigger it.
+std::string concat(std::initializer_list<std::string_view> parts) {
+    std::string out;
+    for (const std::string_view part : parts) out += part;
+    return out;
+}
+
+}  // namespace
 
 ExprPtr Expr::constant(long value) {
     auto node = std::make_shared<Expr>();
@@ -53,12 +68,12 @@ long Expr::eval(std::span<const long> params) const {
 std::string Expr::to_string() const {
     switch (kind_) {
         case Kind::Const: return std::to_string(value_);
-        case Kind::Param: return name_.empty() ? "p" + std::to_string(param_) : name_;
-        case Kind::Add: return "(" + lhs_->to_string() + " + " + rhs_->to_string() + ")";
-        case Kind::Sub: return "(" + lhs_->to_string() + " - " + rhs_->to_string() + ")";
-        case Kind::Mul: return "(" + lhs_->to_string() + " * " + rhs_->to_string() + ")";
-        case Kind::Div: return "(" + lhs_->to_string() + " / " + rhs_->to_string() + ")";
-        case Kind::Mod: return "(" + lhs_->to_string() + " % " + rhs_->to_string() + ")";
+        case Kind::Param: return name_.empty() ? concat({"p", std::to_string(param_)}) : name_;
+        case Kind::Add: return concat({"(", lhs_->to_string(), " + ", rhs_->to_string(), ")"});
+        case Kind::Sub: return concat({"(", lhs_->to_string(), " - ", rhs_->to_string(), ")"});
+        case Kind::Mul: return concat({"(", lhs_->to_string(), " * ", rhs_->to_string(), ")"});
+        case Kind::Div: return concat({"(", lhs_->to_string(), " / ", rhs_->to_string(), ")"});
+        case Kind::Mod: return concat({"(", lhs_->to_string(), " % ", rhs_->to_string(), ")"});
     }
     throw Error("unknown expression kind");
 }
@@ -129,12 +144,12 @@ std::string BoolExpr::to_string() const {
         case Kind::True: return "true";
         case Kind::Cmp: {
             const char* ops[] = {"<", "<=", "==", "!=", ">=", ">"};
-            return cmp_lhs_->to_string() + " " + ops[static_cast<int>(op_)] + " " +
-                   cmp_rhs_->to_string();
+            return concat({cmp_lhs_->to_string(), " ", ops[static_cast<int>(op_)], " ",
+                           cmp_rhs_->to_string()});
         }
-        case Kind::And: return "(" + lhs_->to_string() + " && " + rhs_->to_string() + ")";
-        case Kind::Or: return "(" + lhs_->to_string() + " || " + rhs_->to_string() + ")";
-        case Kind::Not: return "!(" + lhs_->to_string() + ")";
+        case Kind::And: return concat({"(", lhs_->to_string(), " && ", rhs_->to_string(), ")"});
+        case Kind::Or: return concat({"(", lhs_->to_string(), " || ", rhs_->to_string(), ")"});
+        case Kind::Not: return concat({"!(", lhs_->to_string(), ")"});
     }
     throw Error("unknown guard kind");
 }

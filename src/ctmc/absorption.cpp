@@ -48,39 +48,44 @@ std::vector<double> solve_dense(const Ctmc& chain, const std::vector<char>& targ
                                 const std::vector<TangibleId>& unknown,
                                 const std::vector<TangibleId>& index_of) {
     const std::size_t m = unknown.size();
-    std::vector<std::vector<double>> a(m, std::vector<double>(m + 1, 0.0));
+    // Augmented matrix [A | b], row-major with stride m + 1.
+    const std::size_t stride = m + 1;
+    std::vector<double> a(m * stride, 0.0);
+    const auto at = [&](std::size_t r, std::size_t c) -> double& { return a[r * stride + c]; };
     for (std::size_t i = 0; i < m; ++i) {
         const TangibleId s = unknown[i];
-        a[i][i] = chain.exit_rate(s);
-        a[i][m] = 1.0;
+        at(i, i) = chain.exit_rate(s);
+        at(i, m) = 1.0;
         for (const RateEntry& e : chain.row(s)) {
             if (targets[e.target]) continue;  // h = 0 there
             const TangibleId j = index_of[e.target];
             DPMA_ASSERT(j != kNoTangible, "edge into an excluded state");
-            a[i][j] -= e.rate;
+            at(i, j) -= e.rate;
         }
     }
     // Gaussian elimination with partial pivoting.
     for (std::size_t col = 0; col < m; ++col) {
         std::size_t pivot = col;
         for (std::size_t r = col + 1; r < m; ++r) {
-            if (std::abs(a[r][col]) > std::abs(a[pivot][col])) pivot = r;
+            if (std::abs(at(r, col)) > std::abs(at(pivot, col))) pivot = r;
         }
-        if (std::abs(a[pivot][col]) < 1e-300) {
+        if (std::abs(at(pivot, col)) < 1e-300) {
             throw NumericalError("singular hitting-time system");
         }
-        std::swap(a[col], a[pivot]);
+        if (pivot != col) {
+            std::swap_ranges(&at(col, 0), &at(col, 0) + stride, &at(pivot, 0));
+        }
         for (std::size_t r = 0; r < m; ++r) {
-            if (r == col || a[r][col] == 0.0) continue;
-            const double f = a[r][col] / a[col][col];
+            if (r == col || at(r, col) == 0.0) continue;
+            const double f = at(r, col) / at(col, col);
             for (std::size_t c = col; c <= m; ++c) {
-                a[r][c] -= f * a[col][c];
+                at(r, c) -= f * at(col, c);
             }
         }
     }
     std::vector<double> h(m);
     for (std::size_t i = 0; i < m; ++i) {
-        h[i] = a[i][m] / a[i][i];
+        h[i] = at(i, m) / at(i, i);
     }
     return h;
 }

@@ -7,9 +7,8 @@
 /// formatting policy (full double round-trip precision), used by the trace
 /// and metrics dumps, solver diagnostics and exp::ResultSet.
 ///
-/// Validation: json_valid is a strict recursive-descent checker (objects,
-/// arrays, strings with escapes, numbers, true/false/null; no trailing
-/// commas, no comments).  It builds no tree — it exists so tests and the
+/// Validation: json_valid runs the one strict grammar, obs::json_parse
+/// (json_parse.hpp), and reports instead of throwing — so tests and the
 /// json_check tool can assert that emitted artifacts are well-formed without
 /// an external JSON dependency.
 
@@ -27,8 +26,8 @@ namespace dpma::obs {
 [[nodiscard]] std::string json_number(double value);
 
 /// True when \p text is exactly one valid JSON value (surrounding whitespace
-/// allowed).  On failure, *error (when non-null) receives a message with the
-/// byte offset of the problem.
+/// allowed), i.e. when json_parse accepts it.  On failure, *error (when
+/// non-null) receives json_parse's message with the byte offset of the problem.
 [[nodiscard]] bool json_valid(std::string_view text, std::string* error = nullptr);
 
 }  // namespace dpma::obs

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdint>
+#include <cstdlib>
 
 #include "core/error.hpp"
 
@@ -172,7 +173,9 @@ private:
             }
             while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
         }
-        return std::stod(std::string(text_.substr(start, pos_ - start)));
+        // strtod, not stod: a grammatical number out of double range (1e999)
+        // saturates instead of throwing std::out_of_range.
+        return std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(), nullptr);
     }
 
     Json value() {

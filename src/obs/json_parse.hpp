@@ -3,12 +3,13 @@
 /// \file json_parse.hpp
 /// Strict JSON parser building a small value tree.
 ///
-/// obs/json.hpp validates without building anything; this header is for the
-/// few consumers that need to *read* an artifact back — above all the
-/// perf-regression reporter (exp/regress.hpp, `dpma_cli report`), which
-/// loads two run records and pairs their series.  Same grammar as
-/// json_valid: objects, arrays, strings with escapes (\uXXXX decoded to
-/// UTF-8, surrogate pairs combined), numbers, true/false/null; no trailing
+/// This is the toolchain's one JSON grammar: obs::json_valid (json.hpp) is a
+/// call into json_parse.  Its other consumers *read* an artifact back —
+/// above all the perf-regression reporter (exp/regress.hpp, `dpma_cli
+/// report`), which loads two run records and pairs their series.  Grammar:
+/// objects, arrays, strings with escapes (\uXXXX decoded to UTF-8, surrogate
+/// pairs combined, unpaired surrogates rejected), numbers (out-of-range
+/// magnitudes saturate to ±inf or 0), true/false/null; no trailing
 /// commas, no comments, no duplicate-key policy (later keys win in find()
 /// lookups is NOT guaranteed — find() returns the first).
 ///

@@ -2,41 +2,13 @@
 /// Command-line front end of the toolchain — the TwoTowers-like workflow on
 /// Æmilia files, no C++ required:
 ///
-///   dpma_cli info     model.aem
-///   dpma_cli dot      model.aem                       > model.dot
-///   dpma_cli lint     model.aem|dir ... [measures.msr]
-///                     [--format text|json|sarif]
-///   dpma_cli analyze  model.aem|dir ... [measures.msr]
-///                     [--format text|json|sarif] [--high L1,L2 --low C]
-///   dpma_cli check    model.aem --high L1,L2 --low C  [--traces] [--precheck]
-///   dpma_cli solve    model.aem measures.msr [--precheck]
-///   dpma_cli simulate model.aem measures.msr [--horizon H] [--warmup W]
-///                     [--reps N] [--seed S] [--confidence C]
-///   dpma_cli sweep    model.aem measures.msr --param I.action=lo:hi:steps
-///                     [--jobs N] [--json PATH|-] [--csv PATH|-] [--precheck]
-///                     [--checkpoint PATH [--resume]] [--retries N]
-///   dpma_cli lifetime rpc|streaming [--battery ideal|peukert|kibam]
-///                     [--capacity lo:hi:steps] [--control C] [--reps N]
-///                     [--seed S] [--confidence C] [--jobs N]
-///                     [--horizon-factor F] [--peukert-exponent A]
-///                     [--peukert-ref P] [--kibam-c C] [--kibam-rate K]
-///                     [--format text|json] [--json PATH|-] [--csv PATH|-]
-///                     [--checkpoint PATH [--resume]] [--retries N]
-///   dpma_cli report   old.json new.json [--threshold R] [--confidence C]
-///                     [--resamples N] [--seed S]
+///   dpma_cli <command> <positional>... [option]...
 ///
-/// Global options, valid in any position with any command:
-///
-///   --trace FILE       record tracing spans, write Chrome trace-event JSON
-///                      to FILE on exit (chrome://tracing, Perfetto)
-///   --metrics FILE     write the metrics registry as JSON to FILE on exit
-///   --report FILE      write an obs::RunReport run record to FILE on exit
-///                      ("-" = stdout); sweep/lifetime attach their
-///                      ResultSet as a record series
-///   --events FILE      stream live sweep telemetry (JSONL heartbeats, see
-///                      exp/events.hpp) to FILE ("-"/"stderr" = stderr);
-///                      shorthand for DPMA_EVENTS=FILE
-///   --log-level LEVEL  error | warn | info | debug (overrides DPMA_LOG)
+/// The command table below (kCommands, plus kGlobalOptions for the options
+/// every command accepts in any position) is the one source of commands,
+/// positionals, option names, kinds, defaults and range checks.  One parser
+/// reads it: it produces the typed values the commands use, the usage text
+/// (`dpma_cli` without arguments prints it) and every usage-error message.
 ///
 /// `check` runs the paper's noninterference analysis: --high lists the
 /// global action labels of the power-management commands (as printed by
@@ -69,7 +41,9 @@
 /// flow *errors* before composing.
 ///
 /// Exit status: 0 = check passed / command succeeded, 1 = check or lint
-/// failed, 2 = usage error, 3 = Æmilia parse error, 4 = analysis error
+/// failed, 2 = usage error (unknown command or option, wrong positional
+/// count, missing, repeated or malformed option value — including a value
+/// outside its range), 3 = Æmilia parse error, 4 = analysis error
 /// (lint errors under a non-lint command, numerical failure, bad measure,
 /// unwritable output, ...), 5 = sweep interrupted gracefully (SIGINT/
 /// SIGTERM: in-flight points drained, checkpoint and partial artifacts
@@ -100,7 +74,7 @@
 /// records (as written by --report or a bench binary), pairs their result
 /// series by experiment and point, and prints a verdict table of
 /// bootstrap-CI'd time ratios.  Exit 0 when no series regressed beyond
-/// --threshold (default 1.20), 1 on a significant regression, 4 when either
+/// --threshold, 1 on a significant regression, 4 when either
 /// file is unreadable, invalid JSON, or not a run record.
 ///
 /// `sweep` solves the model at every point of a parameter range on the
@@ -108,18 +82,24 @@
 /// patches the exponential rate of the transitions matching I.action (either
 /// side of a synchronised label, as in measure ENABLED predicates) before
 /// re-extracting and solving the CTMC — the state space is reused across the
-/// whole sweep.  Points run in parallel (--jobs, default DPMA_JOBS /
+/// whole sweep.  Points run in parallel (--jobs; 0 = DPMA_JOBS /
 /// hardware_concurrency); results are identical for every jobs count.
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adl/compose.hpp"
@@ -160,37 +140,148 @@ using namespace dpma;
 /// ResultSet attach it as a series.  Null without --report.
 dpma::obs::RunReport* g_run_report = nullptr;
 
-[[noreturn]] void usage() {
-    std::fprintf(stderr,
-                 "usage:\n"
-                 "  dpma_cli info     <model.aem>\n"
-                 "  dpma_cli dot      <model.aem>\n"
-                 "  dpma_cli lint     <model.aem|dir>... [<measures.msr>] "
-                 "[--format text|json|sarif]\n"
-                 "  dpma_cli analyze  <model.aem|dir>... [<measures.msr>] "
-                 "[--format text|json|sarif] [--high L1,L2,... --low INSTANCE]\n"
-                 "  dpma_cli check    <model.aem> --high L1,L2,... --low INSTANCE "
-                 "[--traces] [--precheck]\n"
-                 "  dpma_cli solve    <model.aem> <measures.msr> [--precheck]\n"
-                 "  dpma_cli simulate <model.aem> <measures.msr> [--horizon H] "
-                 "[--warmup W] [--reps N] [--seed S] [--confidence C]\n"
-                 "  dpma_cli sweep    <model.aem> <measures.msr> "
-                 "--param <instance.action>=<lo>:<hi>:<steps> [--jobs N] "
-                 "[--json PATH|-] [--csv PATH|-] [--precheck] "
-                 "[--checkpoint PATH [--resume]] [--retries N]\n"
-                 "  dpma_cli lifetime <rpc|streaming> "
-                 "[--battery ideal|peukert|kibam] [--capacity lo:hi:steps] "
-                 "[--control C] [--reps N] [--seed S] [--confidence C] "
-                 "[--jobs N] [--horizon-factor F] [--peukert-exponent A] "
-                 "[--peukert-ref P] [--kibam-c C] [--kibam-rate K] "
-                 "[--format text|json] [--json PATH|-] [--csv PATH|-] "
-                 "[--checkpoint PATH [--resume]] [--retries N]\n"
-                 "  dpma_cli report   <old.json> <new.json> [--threshold R] "
-                 "[--confidence C] [--resamples N] [--seed S]\n"
-                 "global options (any command): [--trace FILE] [--metrics FILE] "
-                 "[--report FILE] [--events FILE] "
-                 "[--log-level error|warn|info|debug]\n");
-    std::exit(2);
+// ------------------------------------------------------------ option table
+
+/// A malformed command line: main() prints "dpma_cli: <command>: <message>"
+/// and the usage lines generated from the table, and exits 2.
+struct UsageError : Error {
+    using Error::Error;
+};
+
+/// What an option's value must look like; each kind has one parser.
+enum class Kind : std::uint8_t {
+    String,          ///< any non-empty text
+    Enum,            ///< one of the '|'-separated words of Option::meta
+    Double,          ///< a finite number, optionally range-checked
+    PositiveInt,     ///< an integer in [1, INT_MAX]
+    NonNegativeInt,  ///< an integer in [0, INT_MAX]
+    Seed,            ///< an unsigned 64-bit integer
+    Range,           ///< lo:hi:steps with 0 < lo <= hi and integral steps >= 1
+    Param,           ///< instance.action=lo:hi:steps
+    Flag,            ///< no value
+};
+
+/// What a malformed value of each kind should have been (an Enum lists its
+/// words instead).
+constexpr const char* kWants[] = {
+    "a non-empty value", "", "a finite number", "a positive integer",
+    "a non-negative integer", "an unsigned 64-bit integer",
+    "lo:hi:steps with 0 < lo <= hi and integral steps >= 1",
+    "instance.action=lo:hi:steps with 0 < lo <= hi and integral steps >= 1", ""};
+
+/// One row of the table.
+struct Option {
+    const char* name;
+    Kind kind;
+    /// Default, parsed exactly like a given value; "" = absent unless given,
+    /// nullptr = required.
+    const char* fallback;
+    /// Usage metavariable; for Enum also the accepted words.
+    const char* meta = "";
+    /// Optional range check on a Double, and the phrase that names it.
+    bool (*accepts)(double) = nullptr;
+    const char* wants = nullptr;
+    /// Another option this one is meaningless without.
+    const char* needs = nullptr;
+};
+
+/// The usage-error message for a malformed value of \p option.
+std::string bad_value(const Option& option, const std::string& text) {
+    const char* what = option.wants != nullptr    ? option.wants
+                       : option.kind == Kind::Enum ? option.meta
+                                                   : kWants[static_cast<int>(option.kind)];
+    return std::string(option.name) + " wants " + what + ", got '" + text + "'";
+}
+
+/// lo:hi:steps of a Range or Param value; target is Param's instance.action.
+struct Range {
+    std::string target;
+    double lo = 0.0;
+    double hi = 0.0;
+    std::size_t steps = 0;
+};
+
+/// One option's value (given or default) in the typed form of its kind.
+struct Value {
+    bool given = false;
+    std::string text;
+    double number = 0.0;        ///< Double
+    std::uint64_t integer = 0;  ///< PositiveInt, NonNegativeInt, Seed
+    Range range;                ///< Range, Param
+};
+
+/// A parsed command line: the positionals and a Value for every option of
+/// the command and every global option.
+struct Args {
+    std::vector<std::string> positionals;
+    std::map<std::string, Value, std::less<>> values;
+
+    const Value& operator[](std::string_view name) const {
+        const auto it = values.find(name);
+        DPMA_ASSERT(it != values.end(), "option missing from the command table");
+        return it->second;
+    }
+};
+
+bool positive(double x) { return x > 0.0; }
+bool non_negative(double x) { return x >= 0.0; }
+bool probability(double x) { return x > 0.0 && x < 1.0; }
+
+/// Strict full-string finite double.
+bool parse_number(const std::string& text, double* out) {
+    char* end = nullptr;
+    *out = std::strtod(text.c_str(), &end);
+    return !text.empty() && *end == '\0' && std::isfinite(*out);
+}
+
+/// Digits only, no sign, at most \p max.
+bool parse_unsigned(const std::string& text, std::uint64_t max, std::uint64_t* out) {
+    errno = 0;
+    *out = std::strtoull(text.c_str(), nullptr, 10);
+    return !text.empty() && text.find_first_not_of("0123456789") == std::string::npos &&
+           errno != ERANGE && *out <= max;
+}
+
+/// The one lo:hi:steps grammar.  steps is read as a number so that an
+/// integral "4.0" means 4; the 2^53 cap keeps the conversion exact.
+bool parse_range(const std::string& text, Range* out) {
+    const std::vector<std::string> parts = split(text, ':');
+    double steps = 0.0;
+    if (parts.size() != 3 || !parse_number(parts[0], &out->lo) ||
+        !parse_number(parts[1], &out->hi) || !parse_number(parts[2], &steps)) {
+        return false;
+    }
+    out->steps = static_cast<std::size_t>(std::clamp(steps, 0.0, 0x1p53));
+    return out->lo > 0.0 && out->hi >= out->lo && steps >= 1.0 &&
+           steps == static_cast<double>(out->steps);
+}
+
+/// Parses \p text as \p option's kind into \p out; false when it is
+/// malformed or out of range.
+bool parse_value(const Option& option, const std::string& text, Value* out) {
+    constexpr std::uint64_t kIntMax = INT_MAX;
+    out->text = text;
+    switch (option.kind) {
+        case Kind::String: return !text.empty();
+        case Kind::Enum: return std::ranges::count(split(option.meta, '|'), text) != 0;
+        case Kind::Double:
+            return parse_number(text, &out->number) &&
+                   (option.accepts == nullptr || option.accepts(out->number));
+        case Kind::PositiveInt:
+            return parse_unsigned(text, kIntMax, &out->integer) && out->integer >= 1;
+        case Kind::NonNegativeInt: return parse_unsigned(text, kIntMax, &out->integer);
+        case Kind::Seed: return parse_unsigned(text, UINT64_MAX, &out->integer);
+        case Kind::Range: return parse_range(text, &out->range);
+        case Kind::Param: {
+            const std::size_t eq = text.find('=');
+            const std::size_t dot = text.find('.');
+            out->range.target = text.substr(0, eq);
+            return eq != std::string::npos && dot != 0 && dot < eq && dot + 1 < eq &&
+                   parse_range(text.substr(eq + 1), &out->range);
+        }
+        case Kind::Flag: break;
+    }
+    return true;
 }
 
 std::string read_file(const std::string& path) {
@@ -203,12 +294,9 @@ std::string read_file(const std::string& path) {
     return buffer.str();
 }
 
-/// Parses and lints \p path.  ParseError propagates (exit 3); lint errors
-/// print their diagnostics to stderr and throw Error (exit 4) so the model
-/// never reaches composition.  Lint warnings are printed and tolerated.
-adl::ArchiType load_archi(const std::string& path) {
-    adl::ArchiType archi = aemilia::parse_archi_type_unchecked(read_file(path));
-    const analysis::LintResult lint = analysis::lint_model(archi, path);
+/// Prints \p lint's diagnostics of \p path to stderr; lint errors throw
+/// Error (exit 4) so the model never reaches composition.
+void require_lint_ok(const analysis::LintResult& lint, const std::string& path) {
     if (!lint.diagnostics.empty()) {
         std::fputs(analysis::render_text(lint.diagnostics).c_str(), stderr);
     }
@@ -217,11 +305,14 @@ adl::ArchiType load_archi(const std::string& path) {
                     std::to_string(lint.error_count()) +
                     " error(s); diagnostics above, or run `dpma_cli lint`");
     }
-    return archi;
 }
 
-adl::ComposedModel load_model(const std::string& path) {
-    return adl::compose(load_archi(path));
+/// Parses and lints \p path.  ParseError propagates (exit 3); lint warnings
+/// are printed and tolerated.
+adl::ArchiType load_archi(const std::string& path) {
+    adl::ArchiType archi = aemilia::parse_archi_type_unchecked(read_file(path));
+    require_lint_ok(analysis::lint_model(archi, path), path);
+    return archi;
 }
 
 /// Parses and lints a measure file against the architecture it will be
@@ -231,43 +322,12 @@ std::vector<adl::Measure> load_measures(const std::string& path, const adl::Arch
     std::vector<adl::Measure> measures = aemilia::parse_measures(read_file(path));
     analysis::LintResult lint;
     analysis::lint_measures(archi, measures, path, archi_path, lint);
-    if (!lint.diagnostics.empty()) {
-        std::fputs(analysis::render_text(lint.diagnostics).c_str(), stderr);
-    }
-    if (!lint.ok()) {
-        throw Error(path + " failed semantic analysis with " +
-                    std::to_string(lint.error_count()) +
-                    " error(s); diagnostics above, or run `dpma_cli lint`");
-    }
+    require_lint_ok(lint, path);
     return measures;
 }
 
-/// Pulls `--name value` out of the argument list; returns fallback when absent.
-std::string option(std::vector<std::string>& args, const std::string& name,
-                   const std::string& fallback) {
-    for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-        if (args[i] == name) {
-            const std::string value = args[i + 1];
-            args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                       args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-            return value;
-        }
-    }
-    return fallback;
-}
-
-bool flag(std::vector<std::string>& args, const std::string& name) {
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == name) {
-            args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-            return true;
-        }
-    }
-    return false;
-}
-
-int cmd_info(const std::string& path) {
-    const adl::ComposedModel model = load_model(path);
+int cmd_info(const Args& args) {
+    const adl::ComposedModel model = adl::compose(load_archi(args.positionals[0]));
     std::printf("architecture: %zu instances, %zu states, %zu transitions\n",
                 model.instance_names.size(), model.graph.num_states(),
                 model.graph.num_transitions());
@@ -277,25 +337,20 @@ int cmd_info(const std::string& path) {
     const auto deadlocks = lts::deadlock_states(model.graph);
     std::printf("deadlock states: %zu\n", deadlocks.size());
     std::printf("action labels:\n");
+    // Show only labels that actually occur on transitions.
     const auto& table = *model.graph.actions();
+    std::vector<char> used(table.size(), 0);
+    for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
+        for (const lts::Transition& t : model.graph.out(s)) used[t.action] = 1;
+    }
     for (Symbol a = 1; a < table.size(); ++a) {
-        // Show only labels that actually occur on transitions.
-        bool used = false;
-        for (lts::StateId s = 0; s < model.graph.num_states() && !used; ++s) {
-            for (const lts::Transition& t : model.graph.out(s)) {
-                if (t.action == a) {
-                    used = true;
-                    break;
-                }
-            }
-        }
-        if (used) std::printf("  %s\n", table.name(a).c_str());
+        if (used[a] != 0) std::printf("  %s\n", table.name(a).c_str());
     }
     return 0;
 }
 
-int cmd_dot(const std::string& path) {
-    const adl::ComposedModel model = load_model(path);
+int cmd_dot(const Args& args) {
+    const adl::ComposedModel model = adl::compose(load_archi(args.positionals[0]));
     lts::DotOptions options;
     options.max_states = 2000;
     std::fputs(lts::to_dot(model.graph, options).c_str(), stdout);
@@ -334,12 +389,7 @@ struct SpecInputs {
     std::string measures_path;
 };
 
-SpecInputs parse_spec_inputs(const std::string& first, std::vector<std::string>& args) {
-    std::vector<std::string> inputs{first};
-    while (!args.empty() && !args[0].empty() && args[0][0] != '-') {
-        inputs.push_back(args[0]);
-        args.erase(args.begin());
-    }
+SpecInputs parse_spec_inputs(std::vector<std::string> inputs) {
     SpecInputs out;
     if (inputs.size() >= 2 && inputs.back().size() > 4 &&
         inputs.back().rfind(".msr") == inputs.back().size() - 4) {
@@ -354,61 +404,21 @@ SpecInputs parse_spec_inputs(const std::string& first, std::vector<std::string>&
     return out;
 }
 
-int cmd_lint(const std::string& model_path, std::vector<std::string> args) {
-    const std::string format = option(args, "--format", "text");
-    SpecInputs inputs = parse_spec_inputs(model_path, args);
-    if (!args.empty() || (format != "text" && format != "json" && format != "sarif")) {
-        usage();
-    }
-
-    std::vector<analysis::Diagnostic> merged;
-    bool ok = true;
-    for (const std::string& file : inputs.files) {
-        const std::string spec_text = read_file(file);
-        analysis::LintResult result;
-        if (inputs.measures_path.empty()) {
-            result = analysis::lint_text(spec_text, file);
-        } else {
-            result = analysis::lint_text(spec_text, file,
-                                         read_file(inputs.measures_path),
-                                         inputs.measures_path);
-        }
-        ok = ok && result.ok();
-        if (format == "text" && result.clean()) {
-            std::printf("%s: no problems found\n", file.c_str());
-        }
-        merged.insert(merged.end(), result.diagnostics.begin(),
-                      result.diagnostics.end());
-    }
-    if (format == "json") {
-        std::fputs(analysis::render_json(merged).c_str(), stdout);
-    } else if (format == "sarif") {
-        std::fputs(analysis::render_sarif(merged, "dpma-lint").c_str(), stdout);
-    } else if (!merged.empty()) {
-        std::fputs(analysis::render_text(merged).c_str(), stdout);
-    }
-    return ok ? 0 : 1;
-}
-
-int cmd_analyze(const std::string& model_path, std::vector<std::string> args) {
-    const std::string format = option(args, "--format", "text");
-    const std::string high = option(args, "--high", "");
-    const std::string low = option(args, "--low", "");
-    SpecInputs inputs = parse_spec_inputs(model_path, args);
-    if (!args.empty() || (format != "text" && format != "json" && format != "sarif")) {
-        usage();
-    }
-    if (high.empty() != low.empty()) usage();
-
+/// `lint` and, with \p flow, `analyze`: same inputs, formats and exit
+/// contract; analyze adds the flow passes and, with --high/--low, the static
+/// transparency slice.
+int lint_specs(const Args& args, bool flow) {
+    const std::string& format = args["--format"].text;
+    const SpecInputs inputs = parse_spec_inputs(args.positionals);
     analysis::flow::AnalyzeOptions options;
-    if (!high.empty()) {
+    if (flow && args["--high"].given) {
         if (inputs.files.size() != 1) {
             throw Error("--high/--low slice one architecture; pass a single spec");
         }
-        for (const std::string& label : split(high, ',')) {
+        for (const std::string& label : split(args["--high"].text, ',')) {
             options.high_labels.emplace_back(trim(label));
         }
-        options.low_instance = low;
+        options.low_instance = args["--low"].text;
     }
 
     std::vector<analysis::Diagnostic> merged;
@@ -416,13 +426,16 @@ int cmd_analyze(const std::string& model_path, std::vector<std::string> args) {
     bool ok = true;
     for (const std::string& file : inputs.files) {
         const std::string spec_text = read_file(file);
+        const std::string& msr = inputs.measures_path;
         analysis::flow::AnalyzeResult result;
-        if (inputs.measures_path.empty()) {
+        if (flow && msr.empty()) {
             result = analysis::flow::analyze_text(spec_text, file, options);
+        } else if (flow) {
+            result = analysis::flow::analyze_text(spec_text, file, read_file(msr), msr, options);
+        } else if (msr.empty()) {
+            result.lint = analysis::lint_text(spec_text, file);
         } else {
-            result = analysis::flow::analyze_text(spec_text, file,
-                                                  read_file(inputs.measures_path),
-                                                  inputs.measures_path, options);
+            result.lint = analysis::lint_text(spec_text, file, read_file(msr), msr);
         }
         ok = ok && result.ok();
         if (format == "text" && result.clean()) {
@@ -436,32 +449,28 @@ int cmd_analyze(const std::string& model_path, std::vector<std::string> args) {
     if (format == "json") {
         std::string json = analysis::render_json(merged);
         if (transparency) {
+            const auto quoted_list = [](const std::vector<std::string>& items) {
+                std::string out = "[";
+                for (const std::string& item : items) {
+                    out += (out.size() > 1 ? ", " : "") + obs::json_quote(item);
+                }
+                return out + "]";
+            };
             // Splice the verdict object before the closing "\n}\n".
             json.resize(json.size() - 3);
             json += ",\n  \"transparency\": {\"verdict\": " +
-                    obs::json_quote(
-                        analysis::flow::verdict_name(transparency->verdict)) +
+                    obs::json_quote(analysis::flow::verdict_name(transparency->verdict)) +
                     ", \"reason\": " + obs::json_quote(transparency->reason) +
-                    ", \"slice_states\": " +
-                    std::to_string(transparency->slice_states) + ", \"slice\": [";
-            for (std::size_t i = 0; i < transparency->slice_instances.size(); ++i) {
-                if (i != 0) json += ", ";
-                json += obs::json_quote(transparency->slice_instances[i]);
-            }
-            json += "], \"leak_chain\": [";
-            for (std::size_t i = 0; i < transparency->leak_chain.size(); ++i) {
-                if (i != 0) json += ", ";
-                json += obs::json_quote(transparency->leak_chain[i]);
-            }
-            json += "]}\n}\n";
+                    ", \"slice_states\": " + std::to_string(transparency->slice_states) +
+                    ", \"slice\": " + quoted_list(transparency->slice_instances) +
+                    ", \"leak_chain\": " + quoted_list(transparency->leak_chain) + "}\n}\n";
         }
         std::fputs(json.c_str(), stdout);
     } else if (format == "sarif") {
-        std::fputs(analysis::render_sarif(merged, "dpma-analyze").c_str(), stdout);
+        std::fputs(analysis::render_sarif(merged, flow ? "dpma-analyze" : "dpma-lint").c_str(),
+                   stdout);
     } else {
-        if (!merged.empty()) {
-            std::fputs(analysis::render_text(merged).c_str(), stdout);
-        }
+        if (!merged.empty()) std::fputs(analysis::render_text(merged).c_str(), stdout);
         if (transparency) {
             std::printf("transparency (static): %s\n",
                         analysis::flow::verdict_name(transparency->verdict));
@@ -473,6 +482,9 @@ int cmd_analyze(const std::string& model_path, std::vector<std::string> args) {
     }
     return ok ? 0 : 1;
 }
+
+int cmd_lint(const Args& args) { return lint_specs(args, false); }
+int cmd_analyze(const Args& args) { return lint_specs(args, true); }
 
 /// The `--precheck` pre-pass of solve/sweep: flow analyses on the linted
 /// architecture, diagnostics to stderr, flow *errors* abort (exit 4).
@@ -489,12 +501,12 @@ void run_precheck(const adl::ArchiType& archi, const std::string& path) {
     }
 }
 
-int cmd_check(const std::string& path, std::vector<std::string> args) {
-    const std::string high = option(args, "--high", "");
-    const std::string low = option(args, "--low", "");
-    const bool traces = flag(args, "--traces");
-    const bool precheck = flag(args, "--precheck");
-    if (high.empty() || low.empty() || !args.empty()) usage();
+int cmd_check(const Args& args) {
+    const std::string& path = args.positionals[0];
+    const std::string& high = args["--high"].text;
+    const std::string& low = args["--low"].text;
+    const bool traces = args["--traces"].given;
+    const bool precheck = args["--precheck"].given;
 
     const adl::ArchiType archi = load_archi(path);
     std::vector<std::string> high_labels;
@@ -552,10 +564,10 @@ int cmd_check(const std::string& path, std::vector<std::string> args) {
     return verdict.noninterfering ? 0 : 1;
 }
 
-int cmd_solve(const std::string& model_path, const std::string& measures_path,
-              std::vector<std::string> args) {
-    const bool precheck = flag(args, "--precheck");
-    if (!args.empty()) usage();
+int cmd_solve(const Args& args) {
+    const std::string& model_path = args.positionals[0];
+    const std::string& measures_path = args.positionals[1];
+    const bool precheck = args["--precheck"].given;
     const adl::ArchiType archi = load_archi(model_path);
     if (precheck) run_precheck(archi, model_path);
     const auto measures = load_measures(measures_path, archi, model_path);
@@ -570,17 +582,13 @@ int cmd_solve(const std::string& model_path, const std::string& measures_path,
     return 0;
 }
 
-int cmd_simulate(const std::string& model_path, const std::string& measures_path,
-                 std::vector<std::string> args) {
-    const double horizon = std::strtod(option(args, "--horizon", "10000").c_str(), nullptr);
-    const double warmup = std::strtod(option(args, "--warmup", "0").c_str(), nullptr);
-    const int reps = std::atoi(option(args, "--reps", "10").c_str());
-    const auto seed =
-        static_cast<std::uint64_t>(std::strtoull(option(args, "--seed", "1").c_str(),
-                                                 nullptr, 10));
-    const double confidence =
-        std::strtod(option(args, "--confidence", "0.90").c_str(), nullptr);
-    if (!args.empty()) usage();
+int cmd_simulate(const Args& args) {
+    const std::string& model_path = args.positionals[0];
+    const std::string& measures_path = args.positionals[1];
+    const double horizon = args["--horizon"].number;
+    const double warmup = args["--warmup"].number;
+    const auto reps = static_cast<int>(args["--reps"].integer);
+    const double confidence = args["--confidence"].number;
 
     const adl::ArchiType archi = load_archi(model_path);
     const auto measures = load_measures(measures_path, archi, model_path);
@@ -589,7 +597,7 @@ int cmd_simulate(const std::string& model_path, const std::string& measures_path
     sim::SimOptions options;
     options.horizon = horizon;
     options.warmup = warmup;
-    options.seed = seed;
+    options.seed = args["--seed"].integer;
     // Replications fan out over DPMA_JOBS workers; estimates are
     // bit-identical to the serial path for any jobs count.
     exp::ThreadPool pool;
@@ -651,76 +659,28 @@ int sweep_status(const exp::RunOutcome& outcome, const std::string& checkpoint_p
     return 0;
 }
 
-/// Shared parse of the fault-tolerance flags on sweep/lifetime.
-struct FaultToleranceArgs {
-    std::string checkpoint_path;
-    bool resume = false;
-    int retries = 0;
-};
-
-FaultToleranceArgs parse_fault_tolerance(std::vector<std::string>& args) {
-    FaultToleranceArgs out;
-    out.checkpoint_path = option(args, "--checkpoint", "");
-    out.resume = flag(args, "--resume");
-    const std::string retries_text = option(args, "--retries", "0");
-    char* end = nullptr;
-    const long retries = std::strtol(retries_text.c_str(), &end, 10);
-    if (end == retries_text.c_str() || *end != '\0' || retries < 0) {
-        throw Error("--retries wants a non-negative integer, got '" + retries_text +
-                    "'");
-    }
-    out.retries = static_cast<int>(retries);
-    if (out.resume && out.checkpoint_path.empty()) {
-        throw Error("--resume requires --checkpoint PATH");
-    }
-    return out;
+/// The --report series and the --json/--csv artifacts of a sweep/lifetime.
+void write_result_artifacts(const Args& args, const exp::ResultSet& results) {
+    if (g_run_report != nullptr) g_run_report->add_series(results.json());
+    if (args["--json"].given) write_output(args["--json"].text, results.json());
+    if (args["--csv"].given) write_output(args["--csv"].text, results.csv());
 }
 
-int cmd_sweep(const std::string& model_path, const std::string& measures_path,
-              std::vector<std::string> args) {
-    const std::string param = option(args, "--param", "");
-    const std::string jobs_text = option(args, "--jobs", "0");
-    const std::string json_path = option(args, "--json", "");
-    const std::string csv_path = option(args, "--csv", "");
-    FaultToleranceArgs fault_tolerance;
-    try {
-        fault_tolerance = parse_fault_tolerance(args);
-    } catch (const Error& e) {
-        std::fprintf(stderr, "dpma_cli: sweep: %s\n", e.what());
-        return 2;
-    }
-    const bool precheck = flag(args, "--precheck");
-    if (param.empty() || !args.empty()) usage();
+int cmd_sweep(const Args& args) {
+    const std::string& model_path = args.positionals[0];
+    const std::string& measures_path = args.positionals[1];
+    const Range& range = args["--param"].range;
+    const std::string& target = range.target;
+    const std::size_t dot = target.find('.');
+    const std::string instance = target.substr(0, dot);
+    const std::string action = target.substr(dot + 1);
+    const std::string& checkpoint_path = args["--checkpoint"].text;
     // From here on Ctrl-C / SIGTERM means "stop dispatching, drain, write
     // the checkpoint and partial artifacts, exit 5" — not instant death.
     exp::install_shutdown_handler();
 
-    // --param instance.action=lo:hi:steps
-    const std::size_t eq = param.find('=');
-    if (eq == std::string::npos) usage();
-    const std::string target = param.substr(0, eq);
-    const std::size_t dot = target.find('.');
-    if (dot == std::string::npos || dot == 0 || dot + 1 == target.size()) {
-        throw Error("--param needs instance.action, got '" + target + "'");
-    }
-    const std::string instance = target.substr(0, dot);
-    const std::string action = target.substr(dot + 1);
-    const auto range = split(param.substr(eq + 1), ':');
-    if (range.size() != 3) usage();
-    const double lo = std::strtod(range[0].c_str(), nullptr);
-    const double hi = std::strtod(range[1].c_str(), nullptr);
-    const long steps = std::atol(range[2].c_str());
-    if (!(lo > 0.0) || !(hi >= lo) || steps < 1) {
-        throw Error("--param range must satisfy 0 < lo <= hi, steps >= 1");
-    }
-    char* jobs_end = nullptr;
-    const auto jobs = static_cast<std::size_t>(std::strtoul(jobs_text.c_str(), &jobs_end, 10));
-    if (jobs_end == jobs_text.c_str() || *jobs_end != '\0') {
-        throw Error("--jobs needs a non-negative integer, got '" + jobs_text + "'");
-    }
-
     const adl::ArchiType archi = load_archi(model_path);
-    if (precheck) run_precheck(archi, model_path);
+    if (args["--precheck"].given) run_precheck(archi, model_path);
     const auto measures = load_measures(measures_path, archi, model_path);
 
     // Compose once; every sweep point patches this skeleton's rates.
@@ -729,12 +689,11 @@ int cmd_sweep(const std::string& model_path, const std::string& measures_path,
         "sweep", [&] { return adl::compose(archi); });
     // Validate the parameter before fanning out: a typo should die with one
     // clear message, not once per point.
-    (void)exp::with_exp_rate(*skeleton, instance, action, lo);
+    (void)exp::with_exp_rate(*skeleton, instance, action, range.lo);
 
     exp::Experiment experiment;
     experiment.name = "sweep " + target;
-    experiment.grid.axis(exp::Axis::linspace(target, lo, hi,
-                                             static_cast<std::size_t>(steps)));
+    experiment.grid.axis(exp::Axis::linspace(target, range.lo, range.hi, range.steps));
     for (const adl::Measure& m : measures) experiment.measures.push_back(m.name);
     experiment.eval = [&](const exp::Point& point, const exp::PointContext&) {
         const adl::ComposedModel model =
@@ -753,16 +712,16 @@ int cmd_sweep(const std::string& model_path, const std::string& measures_path,
     };
 
     exp::RunOptions run_options;
-    run_options.jobs = jobs;
-    run_options.retries = fault_tolerance.retries;
-    run_options.checkpoint_path = fault_tolerance.checkpoint_path;
-    run_options.resume = fault_tolerance.resume;
+    run_options.jobs = args["--jobs"].integer;
+    run_options.retries = static_cast<int>(args["--retries"].integer);
+    run_options.checkpoint_path = checkpoint_path;
+    run_options.resume = args["--resume"].given;
     const exp::RunOutcome outcome = exp::run_sweep(experiment, run_options);
     const exp::ResultSet& results = outcome.results;
 
-    std::printf("sweep of exponential rate %s over [%g, %g], %ld points, jobs=%zu\n",
-                target.c_str(), lo, hi, steps,
-                jobs == 0 ? exp::default_jobs() : jobs);
+    std::printf("sweep of exponential rate %s over [%g, %g], %zu points, jobs=%zu\n",
+                target.c_str(), range.lo, range.hi, range.steps,
+                run_options.jobs == 0 ? exp::default_jobs() : run_options.jobs);
     std::printf("%-16s", "rate");
     for (const std::string& m : results.measures()) std::printf(" %-18s", m.c_str());
     std::printf("\n");
@@ -777,139 +736,42 @@ int cmd_sweep(const std::string& model_path, const std::string& measures_path,
                 static_cast<unsigned long long>(stats.hits),
                 static_cast<unsigned long long>(stats.misses));
 
-    if (g_run_report != nullptr) g_run_report->add_series(results.json());
-    if (!json_path.empty()) write_output(json_path, results.json());
-    if (!csv_path.empty()) write_output(csv_path, results.csv());
-    return sweep_status(outcome, fault_tolerance.checkpoint_path);
+    write_result_artifacts(args, results);
+    return sweep_status(outcome, checkpoint_path);
 }
 
-/// Strict full-string double parse; rejects trailing garbage.
-bool parse_double(const std::string& text, double* out) {
-    char* end = nullptr;
-    *out = std::strtod(text.c_str(), &end);
-    return end != text.c_str() && *end == '\0';
-}
-
-/// Prints a lifetime usage error and returns the usage exit code (2): the
-/// battery parameters are command-line arguments, so a bad value is a usage
-/// error, not an analysis failure.
-int lifetime_usage_error(const std::string& message) {
-    std::fprintf(stderr, "dpma_cli: lifetime: %s\n", message.c_str());
-    return 2;
-}
-
-int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
-    const std::string battery_name = option(args, "--battery", "kibam");
-    const std::string capacity_text = option(args, "--capacity", "1000:4000:4");
-    const std::string control_text = option(args, "--control", "-1");
-    const std::string reps_text = option(args, "--reps", "5");
-    const std::string seed_text = option(args, "--seed", "1");
-    const std::string confidence_text = option(args, "--confidence", "0.95");
-    const std::string jobs_text = option(args, "--jobs", "0");
-    const std::string horizon_text = option(args, "--horizon-factor", "8");
-    const std::string peukert_exp_text = option(args, "--peukert-exponent", "1.2");
-    const std::string peukert_ref_text = option(args, "--peukert-ref", "1");
-    const std::string kibam_c_text = option(args, "--kibam-c", "0.5");
-    const std::string kibam_rate_text = option(args, "--kibam-rate", "0.001");
-    const std::string format = option(args, "--format", "text");
-    const std::string json_path = option(args, "--json", "");
-    const std::string csv_path = option(args, "--csv", "");
-    FaultToleranceArgs fault_tolerance;
-    try {
-        fault_tolerance = parse_fault_tolerance(args);
-    } catch (const Error& e) {
-        return lifetime_usage_error(e.what());
-    }
-    if (!args.empty()) usage();
-    if (format != "text" && format != "json") {
-        return lifetime_usage_error("--format wants text or json, got '" + format + "'");
-    }
-
+int cmd_lifetime(const Args& args) {
     battery::StudyOptions options;
-    options.system = system;
-    if (system != "rpc" && system != "streaming") {
-        return lifetime_usage_error("unknown system '" + system +
-                                    "' (expected rpc or streaming)");
-    }
-    try {
-        options.battery.kind = battery::BatteryParams::kind_from(battery_name);
-    } catch (const Error& e) {
-        return lifetime_usage_error(e.what());
-    }
-
-    // --capacity lo:hi:steps (linear; steps == 1 keeps just lo).
-    const auto range = split(capacity_text, ':');
-    double lo = 0.0, hi = 0.0;
-    double steps_value = 0.0;
-    if (range.size() != 3 || !parse_double(range[0], &lo) ||
-        !parse_double(range[1], &hi) || !parse_double(range[2], &steps_value) ||
-        steps_value != std::floor(steps_value)) {
-        return lifetime_usage_error("--capacity wants lo:hi:steps, got '" +
-                                    capacity_text + "'");
-    }
-    const auto steps = static_cast<long>(steps_value);
-    if (!std::isfinite(lo) || lo <= 0.0 || !std::isfinite(hi) || hi < lo || steps < 1) {
-        return lifetime_usage_error(
-            "--capacity range must satisfy 0 < lo <= hi, steps >= 1");
-    }
-    const exp::Axis capacity_axis =
-        exp::Axis::linspace("capacity", lo, hi, static_cast<std::size_t>(steps));
-    options.capacities = capacity_axis.values;
-
-    // Every numeric battery/study parameter must parse and pass validate();
-    // both failures are usage errors by the exit-code contract.
-    struct NumericArg {
-        const std::string* text;
-        double* target;
-        const char* name;
-    };
-    const NumericArg numeric[] = {
-        {&control_text, &options.control, "--control"},
-        {&confidence_text, &options.confidence, "--confidence"},
-        {&horizon_text, &options.horizon_factor, "--horizon-factor"},
-        {&peukert_exp_text, &options.battery.peukert_exponent, "--peukert-exponent"},
-        {&peukert_ref_text, &options.battery.peukert_reference_power, "--peukert-ref"},
-        {&kibam_c_text, &options.battery.kibam_c, "--kibam-c"},
-        {&kibam_rate_text, &options.battery.kibam_rate, "--kibam-rate"},
-    };
-    for (const NumericArg& arg : numeric) {
-        if (!parse_double(*arg.text, arg.target)) {
-            return lifetime_usage_error(std::string(arg.name) +
-                                        " wants a number, got '" + *arg.text + "'");
-        }
-    }
-    char* end = nullptr;
-    const long reps = std::strtol(reps_text.c_str(), &end, 10);
-    if (end == reps_text.c_str() || *end != '\0' || reps < 1) {
-        return lifetime_usage_error("--reps wants a positive integer, got '" +
-                                    reps_text + "'");
-    }
-    options.replications = static_cast<int>(reps);
-    options.base_seed =
-        static_cast<std::uint64_t>(std::strtoull(seed_text.c_str(), &end, 10));
-    if (end == seed_text.c_str() || *end != '\0') {
-        return lifetime_usage_error("--seed wants an unsigned integer, got '" +
-                                    seed_text + "'");
-    }
-    const auto jobs = std::strtoul(jobs_text.c_str(), &end, 10);
-    if (end == jobs_text.c_str() || *end != '\0') {
-        return lifetime_usage_error("--jobs wants a non-negative integer, got '" +
-                                    jobs_text + "'");
-    }
-    options.jobs = static_cast<std::size_t>(jobs);
-    options.retries = fault_tolerance.retries;
-    options.checkpoint_path = fault_tolerance.checkpoint_path;
-    options.resume = fault_tolerance.resume;
+    options.system = args.positionals[0];
+    options.battery.kind = battery::BatteryParams::kind_from(args["--battery"].text);
+    const Range& capacity = args["--capacity"].range;
+    options.capacities =
+        exp::Axis::linspace("capacity", capacity.lo, capacity.hi, capacity.steps).values;
+    options.control = args["--control"].number;
+    options.replications = static_cast<int>(args["--reps"].integer);
+    options.base_seed = args["--seed"].integer;
+    options.confidence = args["--confidence"].number;
+    options.jobs = args["--jobs"].integer;
+    options.horizon_factor = args["--horizon-factor"].number;
+    options.battery.peukert_exponent = args["--peukert-exponent"].number;
+    options.battery.peukert_reference_power = args["--peukert-ref"].number;
+    options.battery.kibam_c = args["--kibam-c"].number;
+    options.battery.kibam_rate = args["--kibam-rate"].number;
+    options.retries = static_cast<int>(args["--retries"].integer);
+    options.checkpoint_path = args["--checkpoint"].text;
+    options.resume = args["--resume"].given;
+    // The battery and study parameters are command-line arguments, so a
+    // value validate() rejects is a usage error, not an analysis failure.
     try {
         options.validate();
     } catch (const Error& e) {
-        return lifetime_usage_error(e.what());
+        throw UsageError(e.what());
     }
 
     exp::install_shutdown_handler();
     const exp::RunOutcome outcome = battery::run_lifetime_sweep(options);
     const exp::ResultSet& results = outcome.results;
-    if (format == "json") {
+    if (args["--format"].text == "json") {
         std::fputs(results.json().c_str(), stdout);
     } else {
         std::printf("lifetime study: %s system, %s battery, %zu capacities x "
@@ -927,48 +789,23 @@ int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
             std::printf("\n");
         }
     }
-    if (g_run_report != nullptr) g_run_report->add_series(results.json());
-    if (!json_path.empty()) write_output(json_path, results.json());
-    if (!csv_path.empty()) write_output(csv_path, results.csv());
-    return sweep_status(outcome, fault_tolerance.checkpoint_path);
+    write_result_artifacts(args, results);
+    return sweep_status(outcome, options.checkpoint_path);
 }
 
 /// `report` — the perf-regression gate over two run records.
-int cmd_report(const std::string& old_path, std::vector<std::string> args) {
-    const std::string threshold_text = option(args, "--threshold", "1.20");
-    const std::string confidence_text = option(args, "--confidence", "0.95");
-    const std::string resamples_text = option(args, "--resamples", "2000");
-    const std::string seed_text = option(args, "--seed", "42");
-    if (args.size() != 1) usage();
-    const std::string new_path = args[0];
-
+int cmd_report(const Args& args) {
+    const std::string& old_path = args.positionals[0];
+    const std::string& new_path = args.positionals[1];
     exp::RegressOptions options;
-    if (!parse_double(threshold_text, &options.threshold) ||
-        !parse_double(confidence_text, &options.confidence)) {
-        std::fprintf(stderr, "dpma_cli: report: --threshold/--confidence want "
-                             "numbers\n");
-        return 2;
-    }
-    char* end = nullptr;
-    const long resamples = std::strtol(resamples_text.c_str(), &end, 10);
-    if (end == resamples_text.c_str() || *end != '\0' || resamples < 1) {
-        std::fprintf(stderr, "dpma_cli: report: --resamples wants a positive "
-                             "integer, got '%s'\n", resamples_text.c_str());
-        return 2;
-    }
-    options.resamples = static_cast<int>(resamples);
-    options.seed = static_cast<std::uint64_t>(
-        std::strtoull(seed_text.c_str(), &end, 10));
-    if (end == seed_text.c_str() || *end != '\0') {
-        std::fprintf(stderr, "dpma_cli: report: --seed wants an unsigned "
-                             "integer, got '%s'\n", seed_text.c_str());
-        return 2;
-    }
+    options.threshold = args["--threshold"].number;
+    options.confidence = args["--confidence"].number;
+    options.resamples = static_cast<int>(args["--resamples"].integer);
+    options.seed = args["--seed"].integer;
     try {
         options.validate();
     } catch (const Error& e) {
-        std::fprintf(stderr, "dpma_cli: report: %s\n", e.what());
-        return 2;
+        throw UsageError(e.what());
     }
 
     // Parse errors and schema mismatches propagate as Error -> exit 4.
@@ -985,45 +822,221 @@ int cmd_report(const std::string& old_path, std::vector<std::string> args) {
     return report.regression ? 1 : 0;
 }
 
+// ----------------------------------------------------------- command table
+
+constexpr Option kPrecheck{"--precheck", Kind::Flag, ""};
+constexpr Option kJobs{"--jobs", Kind::NonNegativeInt, "0", "N"};
+constexpr Option kJson{"--json", Kind::String, "", "PATH|-"};
+constexpr Option kCsv{"--csv", Kind::String, "", "PATH|-"};
+// Fault tolerance, shared by sweep and lifetime.
+constexpr Option kCheckpoint{"--checkpoint", Kind::String, "", "PATH"};
+constexpr Option kResume{"--resume", Kind::Flag, "", "", nullptr, nullptr, "--checkpoint"};
+constexpr Option kRetries{"--retries", Kind::NonNegativeInt, "0", "N"};
+
+constexpr Option kLintOptions[] = {
+    {"--format", Kind::Enum, "text", "text|json|sarif"},
+};
+constexpr Option kAnalyzeOptions[] = {
+    {"--format", Kind::Enum, "text", "text|json|sarif"},
+    {"--high", Kind::String, "", "L1,L2,...", nullptr, nullptr, "--low"},
+    {"--low", Kind::String, "", "INSTANCE", nullptr, nullptr, "--high"},
+};
+constexpr Option kCheckOptions[] = {
+    {"--high", Kind::String, nullptr, "L1,L2,..."},
+    {"--low", Kind::String, nullptr, "INSTANCE"},
+    {"--traces", Kind::Flag, ""},
+    kPrecheck,
+};
+constexpr Option kSolveOptions[] = {kPrecheck};
+constexpr Option kSimulateOptions[] = {
+    {"--horizon", Kind::Double, "10000", "H", positive, "a positive number"},
+    {"--warmup", Kind::Double, "0", "W", non_negative, "a non-negative number"},
+    {"--reps", Kind::PositiveInt, "10", "N"},
+    {"--seed", Kind::Seed, "1", "S"},
+    {"--confidence", Kind::Double, "0.90", "C", probability, "a number in (0, 1)"},
+};
+constexpr Option kSweepOptions[] = {
+    {"--param", Kind::Param, nullptr, "<instance.action>=<lo>:<hi>:<steps>"},
+    kJobs, kJson, kCsv, kPrecheck, kCheckpoint, kResume, kRetries,
+};
+constexpr Option kLifetimeOptions[] = {
+    {"--battery", Kind::Enum, "kibam", "ideal|peukert|kibam"},
+    {"--capacity", Kind::Range, "1000:4000:4", "lo:hi:steps"},
+    {"--control", Kind::Double, "-1", "C"},
+    {"--reps", Kind::PositiveInt, "5", "N"},
+    {"--seed", Kind::Seed, "1", "S"},
+    {"--confidence", Kind::Double, "0.95", "C"},
+    kJobs,
+    {"--horizon-factor", Kind::Double, "8", "F"},
+    {"--peukert-exponent", Kind::Double, "1.2", "A"},
+    {"--peukert-ref", Kind::Double, "1", "P"},
+    {"--kibam-c", Kind::Double, "0.5", "C"},
+    {"--kibam-rate", Kind::Double, "0.001", "K"},
+    {"--format", Kind::Enum, "text", "text|json"},
+    kJson, kCsv, kCheckpoint, kResume, kRetries,
+};
+constexpr Option kReportOptions[] = {
+    {"--threshold", Kind::Double, "1.20", "R"},
+    {"--confidence", Kind::Double, "0.95", "C"},
+    {"--resamples", Kind::PositiveInt, "2000", "N"},
+    {"--seed", Kind::Seed, "42", "S"},
+};
+/// Accepted by every command, in any position.
+constexpr Option kGlobalOptions[] = {
+    // Chrome trace-event JSON of the tracing spans (chrome://tracing, Perfetto).
+    {"--trace", Kind::String, "", "FILE"},
+    // The metrics registry as JSON.
+    {"--metrics", Kind::String, "", "FILE"},
+    // An obs::RunReport run record ("-" = stdout); sweep/lifetime attach
+    // their ResultSet as a record series.
+    {"--report", Kind::String, "", "FILE"},
+    // Live sweep telemetry as JSONL heartbeats (exp/events.hpp; "-"/"stderr"
+    // = stderr); shorthand for DPMA_EVENTS=FILE.
+    {"--events", Kind::String, "", "FILE"},
+    // Overrides DPMA_LOG.
+    {"--log-level", Kind::Enum, "", "error|warn|info|debug"},
+};
+
+struct Command {
+    const char* name;
+    const char* positionals;  ///< usage text
+    std::size_t min_positionals;
+    std::size_t max_positionals;
+    int (*run)(const Args&);
+    std::span<const Option> options;
+};
+
+constexpr std::size_t kAny = std::numeric_limits<std::size_t>::max();
+
+constexpr Command kCommands[] = {
+    {"info", "<model.aem>", 1, 1, cmd_info, {}},
+    {"dot", "<model.aem>", 1, 1, cmd_dot, {}},
+    {"lint", "<model.aem|dir>... [<measures.msr>]", 1, kAny, cmd_lint, kLintOptions},
+    {"analyze", "<model.aem|dir>... [<measures.msr>]", 1, kAny, cmd_analyze,
+     kAnalyzeOptions},
+    {"check", "<model.aem>", 1, 1, cmd_check, kCheckOptions},
+    {"solve", "<model.aem> <measures.msr>", 2, 2, cmd_solve, kSolveOptions},
+    {"simulate", "<model.aem> <measures.msr>", 2, 2, cmd_simulate, kSimulateOptions},
+    {"sweep", "<model.aem> <measures.msr>", 2, 2, cmd_sweep, kSweepOptions},
+    {"lifetime", "<rpc|streaming>", 1, 1, cmd_lifetime, kLifetimeOptions},
+    {"report", "<old.json> <new.json>", 2, 2, cmd_report, kReportOptions},
+};
+
+/// " [--name META]" per option ("--name META" when required).
+std::string options_usage(std::span<const Option> options) {
+    std::string out;
+    for (const Option& option : options) {
+        std::string item = option.name;
+        if (option.kind != Kind::Flag) item += std::string(" ") + option.meta;
+        out += option.fallback == nullptr ? " " + item : " [" + item + "]";
+    }
+    return out;
+}
+
+/// Usage lines of \p only, or of every command when null.
+std::string usage_text(const Command* only) {
+    std::string out = "usage:\n";
+    for (const Command& command : kCommands) {
+        if (only != nullptr && only != &command) continue;
+        char head[32];
+        std::snprintf(head, sizeof head, "  dpma_cli %-8s ", command.name);
+        out += head + std::string(command.positionals) + options_usage(command.options) +
+               "\n";
+    }
+    return out + "global options (any command):" + options_usage(kGlobalOptions) + "\n";
+}
+
+const Option* find_option(std::span<const Option> options, std::string_view name) {
+    const auto it = std::ranges::find_if(
+        options, [&](const Option& option) { return name == option.name; });
+    return it == options.end() ? nullptr : &*it;
+}
+
+/// Reads argv against the table into \p args; \p command is set as soon as
+/// the command word is seen.  Every option of the command and every global
+/// option ends up in args.values, given or defaulted.  Throws UsageError.
+void parse_command_line(int argc, char** argv, Args& args, const Command*& command) {
+    for (int i = 1; i < argc; ++i) {
+        const std::string token = argv[i];
+        if (!starts_with(token, "--") && command != nullptr) {
+            args.positionals.push_back(token);
+        } else if (!starts_with(token, "--")) {
+            for (const Command& candidate : kCommands) {
+                if (token == candidate.name) command = &candidate;
+            }
+            if (command == nullptr) throw UsageError("unknown command '" + token + "'");
+        } else {
+            const Option* option = find_option(kGlobalOptions, token);
+            if (option == nullptr && command != nullptr) {
+                option = find_option(command->options, token);
+            }
+            if (option == nullptr) throw UsageError("unknown option " + token);
+            if (args.values.count(token) != 0) throw UsageError(token + " given twice");
+            Value& value = args.values[token];
+            value.given = true;
+            if (option->kind == Kind::Flag) continue;
+            const std::string text = i + 1 < argc ? argv[++i] : "";
+            if (!parse_value(*option, text, &value)) throw UsageError(bad_value(*option, text));
+        }
+    }
+    if (command == nullptr) throw UsageError("missing command");
+    const std::size_t count = args.positionals.size();
+    if (count < command->min_positionals || count > command->max_positionals) {
+        throw UsageError("wants " + std::string(command->positionals) + ", got " +
+                         std::to_string(count) + " positional argument(s)");
+    }
+    for (const auto options : {command->options, std::span<const Option>{kGlobalOptions}}) {
+        for (const Option& option : options) {
+            if (args.values.count(option.name) != 0) continue;
+            if (option.fallback == nullptr) {
+                throw UsageError(std::string(option.name) + " is required");
+            }
+            Value& value = args.values[option.name];  // absent: given == false
+            DPMA_ASSERT(*option.fallback == '\0' ||
+                            parse_value(option, option.fallback, &value),
+                        "table default does not parse");
+        }
+    }
+    for (const Option& option : command->options) {
+        if (option.needs != nullptr && args[option.name].given &&
+            !args[option.needs].given) {
+            throw UsageError(std::string(option.name) + " requires " + option.needs);
+        }
+    }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
+    Args args;
+    const Command* command = nullptr;
+    const auto usage_error = [&](const UsageError& e) {
+        std::fprintf(stderr, "dpma_cli: %s%s%s\n%s", command != nullptr ? command->name : "",
+                     command != nullptr ? ": " : "", e.what(), usage_text(command).c_str());
+        return 2;
+    };
+    try {
+        parse_command_line(argc, argv, args, command);
+    } catch (const UsageError& e) {
+        return usage_error(e);
+    }
 
-    // Instrumentation options come out first so they work with any command
-    // in any position.
-    const std::string level_text = option(args, "--log-level", "");
-    const std::string trace_path = option(args, "--trace", "");
-    const std::string metrics_path = option(args, "--metrics", "");
-    const std::string report_file = option(args, "--report", "");
-    const std::string events_path = option(args, "--events", "");
-    if (!events_path.empty()) {
+    const std::string& trace_path = args["--trace"].text;
+    const std::string& metrics_path = args["--metrics"].text;
+    const std::string& report_file = args["--report"].text;
+    if (args["--events"].given) {
         // Same channel the bench binaries use: exp::run picks it up through
         // events_from_env().
-        setenv("DPMA_EVENTS", events_path.c_str(), 1);
+        setenv("DPMA_EVENTS", args["--events"].text.c_str(), 1);
     }
     obs::RunReport run_report("dpma_cli");
     if (!report_file.empty()) {
         run_report.set_args(std::vector<std::string>(argv, argv + argc));
         g_run_report = &run_report;
     }
-    if (!level_text.empty()) {
-        obs::LogLevel level = obs::LogLevel::Warn;
-        if (!obs::parse_log_level(level_text, &level)) {
-            std::fprintf(stderr,
-                         "dpma_cli: --log-level wants error|warn|info|debug, got '%s'\n",
-                         level_text.c_str());
-            return 2;
-        }
-        obs::set_log_level(level);
-    }
+    obs::LogLevel level = obs::LogLevel::Warn;
+    if (obs::parse_log_level(args["--log-level"].text, &level)) obs::set_log_level(level);
     if (!trace_path.empty()) obs::set_tracing(true);
-
-    if (args.size() < 2) usage();
-    const std::string command = args[0];
-    const std::string model_path = args[1];
-    std::vector<std::string> rest(args.begin() + 2, args.end());
 
     const auto write_artifacts = [&] {
         try {
@@ -1038,35 +1051,9 @@ int main(int argc, char** argv) {
 
     int status = 0;
     try {
-        if (command == "info" && rest.empty()) {
-            status = cmd_info(model_path);
-        } else if (command == "dot" && rest.empty()) {
-            status = cmd_dot(model_path);
-        } else if (command == "lint") {
-            status = cmd_lint(model_path, std::move(rest));
-        } else if (command == "analyze") {
-            status = cmd_analyze(model_path, std::move(rest));
-        } else if (command == "check") {
-            status = cmd_check(model_path, std::move(rest));
-        } else if (command == "solve" && !rest.empty()) {
-            const std::string measures_path = rest[0];
-            rest.erase(rest.begin());
-            status = cmd_solve(model_path, measures_path, std::move(rest));
-        } else if (command == "simulate" && !rest.empty()) {
-            const std::string measures_path = rest[0];
-            rest.erase(rest.begin());
-            status = cmd_simulate(model_path, measures_path, std::move(rest));
-        } else if (command == "sweep" && !rest.empty()) {
-            const std::string measures_path = rest[0];
-            rest.erase(rest.begin());
-            status = cmd_sweep(model_path, measures_path, std::move(rest));
-        } else if (command == "lifetime") {
-            status = cmd_lifetime(model_path, std::move(rest));
-        } else if (command == "report" && !rest.empty()) {
-            status = cmd_report(model_path, std::move(rest));
-        } else {
-            usage();
-        }
+        status = command->run(args);
+    } catch (const UsageError& e) {
+        status = usage_error(e);
     } catch (const ParseError& e) {
         std::fprintf(stderr, "parse error at %d:%d: %s\n", e.line(), e.column(),
                      e.what());
