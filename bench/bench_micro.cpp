@@ -1,12 +1,13 @@
 /// \file bench_micro.cpp
 /// Google-benchmark microbenchmarks of the analysis engines themselves:
 /// composition, weak-bisimulation checking, CTMC construction + solution,
-/// and GSMP simulation throughput.  These are ours (not a paper figure) and
+/// the battery's transient power profile, and GSMP simulation throughput.  These are ours (not a paper figure) and
 /// guard against performance regressions of the toolchain.
 
 #include <benchmark/benchmark.h>
 
 #include "analysis/flow/analyze.hpp"
+#include "battery/coupling.hpp"
 #include "bisim/equivalence.hpp"
 #include "bisim/partition.hpp"
 #include "ctmc/ctmc.hpp"
@@ -123,6 +124,30 @@ void BM_SteadyStateGaussSeidelStreaming(benchmark::State& state) {
                    " states, reducible, not the dispatched path");
 }
 BENCHMARK(BM_SteadyStateGaussSeidelStreaming);
+
+/// The battery's refined lifetime bound: a whole expected-power profile of
+/// the streaming NIC (4/4 buffers, NO-DPM) until the distribution settles.
+/// Items are profile steps, one uniformisation series each.
+void BM_TransientPowerProfileStreaming(benchmark::State& state) {
+    models::streaming::Config config = models::streaming::markovian(100.0, false);
+    config.params.ap_capacity = 4;
+    config.params.b_capacity = 4;
+    const auto model = models::streaming::compose(config);
+    const auto markov = ctmc::build_markov(model);
+    const std::vector<double> power = battery::tangible_power(
+        markov, model, models::streaming::measures()[models::streaming::kEnergyRate]);
+    std::size_t steps = 0;
+    for (auto _ : state) {
+        const battery::PowerProfile profile = battery::transient_power_profile(
+            markov.chain, markov.initial_distribution, power);
+        steps += profile.power.size();
+        benchmark::DoNotOptimize(profile);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(steps));
+    state.SetLabel(std::to_string(markov.chain.num_states()) +
+                   " states, items = profile steps");
+}
+BENCHMARK(BM_TransientPowerProfileStreaming);
 
 void BM_SimulateRpcGeneral(benchmark::State& state) {
     const auto model = models::rpc::compose(models::rpc::general(5.0, true));

@@ -235,6 +235,8 @@ PowerProfile transient_power_profile(
     const ctmc::Ctmc& chain,
     const std::vector<std::pair<ctmc::TangibleId, double>>& initial,
     const std::vector<double>& power, const ProfileOptions& options) {
+    static obs::Counter& steps_counter = obs::counter("battery.profile.steps");
+    DPMA_NAMED_SPAN(span, "battery.profile", "battery");
     DPMA_REQUIRE(power.size() == chain.num_states(),
                  "power vector size must match the chain");
     DPMA_REQUIRE(options.step >= 0.0 && std::isfinite(options.step),
@@ -246,51 +248,43 @@ PowerProfile transient_power_profile(
                        ? options.step
                        : (max_exit > 0.0 ? 0.5 / max_exit : 1.0);
 
-    // Dense current distribution.
-    std::vector<double> pi(chain.num_states(), 0.0);
-    for (const auto& [state, mass] : initial) {
-        pi[state] += mass;
-    }
-
-    const auto expected_power = [&](const std::vector<double>& dist) {
-        KahanSum sum;
-        for (std::size_t s = 0; s < dist.size(); ++s) {
-            sum.add(dist[s] * power[s]);
-        }
-        return sum.value();
-    };
-    const auto sparse = [](const std::vector<double>& dist) {
-        std::vector<std::pair<ctmc::TangibleId, double>> entries;
-        for (std::size_t s = 0; s < dist.size(); ++s) {
-            if (dist[s] > 0.0) {
-                entries.emplace_back(static_cast<ctmc::TangibleId>(s), dist[s]);
-            }
-        }
-        return entries;
-    };
+    // Current distribution; nonnegative throughout (validated masses, then
+    // series outputs), which is what the kernel's start vector must be.
+    std::vector<double> pi = ctmc::dense_distribution(chain.num_states(), initial);
+    ctmc::Uniformiser series(chain);
+    std::size_t terms = 0;
 
     profile.power.reserve(std::min<std::size_t>(options.max_steps, 4096));
     for (std::size_t i = 0; i < options.max_steps; ++i) {
-        const auto entries = sparse(pi);
         // Exact expected energy over this step / step = exact mean power on
         // the interval (uniformisation accumulated-reward identity), started
-        // from the current distribution by the Markov property.
-        const double energy =
-            ctmc::accumulated_reward(chain, entries, power, profile.step);
+        // from the current distribution by the Markov property; the same
+        // series pass yields the distribution at the end of the step.
+        const double energy = series.run(pi, profile.step, power);
+        terms += series.terms();
         profile.power.push_back(energy / profile.step);
 
-        const std::vector<double> next = ctmc::transient(chain, entries, profile.step);
+        const std::vector<double>& next = series.distribution();
         double delta = 0.0;
         for (std::size_t s = 0; s < pi.size(); ++s) {
             delta = std::max(delta, std::abs(next[s] - pi[s]));
         }
-        pi = next;
+        std::copy(next.begin(), next.end(), pi.begin());
         if (delta < options.tolerance) {
             profile.stationary = true;
             break;
         }
     }
-    profile.tail_power = expected_power(pi);
+    KahanSum tail;
+    for (std::size_t s = 0; s < pi.size(); ++s) {
+        tail.add(pi[s] * power[s]);
+    }
+    profile.tail_power = tail.value();
+
+    steps_counter.add(profile.power.size());
+    span.arg("states", static_cast<double>(chain.num_states()));
+    span.arg("steps", static_cast<double>(profile.power.size()));
+    span.arg("series_terms", static_cast<double>(terms));
     return profile;
 }
 

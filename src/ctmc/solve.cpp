@@ -487,106 +487,114 @@ void PoissonWeights::advance() noexcept {
     w_ *= lt_ / static_cast<double>(k_);
 }
 
-std::vector<double> transient(const Ctmc& chain,
-                              const std::vector<std::pair<TangibleId, double>>& initial,
-                              double time) {
-    const std::size_t n = chain.num_states();
-    DPMA_REQUIRE(n >= 1, "empty chain");
-    DPMA_REQUIRE(time >= 0.0, "negative time");
-    std::vector<double> pi(n, 0.0);
+std::vector<double> dense_distribution(
+    std::size_t states, const std::vector<std::pair<TangibleId, double>>& initial) {
+    std::vector<double> pi(states, 0.0);
     for (const auto& [s, p] : initial) {
-        DPMA_REQUIRE(s < n, "initial state out of range");
+        DPMA_REQUIRE(s < states, "initial state out of range");
+        DPMA_REQUIRE(std::isfinite(p) && p >= 0.0,
+                     "initial mass must be finite and >= 0");
         pi[s] += p;
     }
-    normalize(pi);
-    if (time == 0.0) return pi;
+    return pi;
+}
 
-    const double lambda = std::max(chain.max_exit_rate() * 1.05, 1e-9);
-    const double lt = lambda * time;
+Uniformiser::Uniformiser(const Ctmc& chain)
+    : lambda_(std::max(chain.max_exit_rate() * 1.05, 1e-9)) {
+    const std::size_t n = chain.num_states();
+    DPMA_REQUIRE(n >= 1, "empty chain");
+    offsets_.reserve(n + 1);
+    offsets_.push_back(0);
+    diagonal_.reserve(n);
+    for (TangibleId s = 0; s < n; ++s) {
+        entries_.insert(entries_.end(), chain.row(s).begin(), chain.row(s).end());
+        offsets_.push_back(entries_.size());
+        diagonal_.push_back(1.0 - chain.exit_rate(s) / lambda_);
+    }
+    vk_.resize(n);
+    next_.resize(n);
+    result_.resize(n);
+}
 
-    // Uniformised one-step operator, writing into a caller-owned buffer so
-    // the series loop allocates its two vectors once and swaps.
-    const auto step = [&](const std::vector<double>& v, std::vector<double>& out) {
-        std::fill(out.begin(), out.end(), 0.0);
-        for (TangibleId s = 0; s < n; ++s) {
-            out[s] += v[s] * (1.0 - chain.exit_rate(s) / lambda);
-            const double mass = v[s] / lambda;
-            if (mass == 0.0) continue;
-            for (const RateEntry& e : chain.row(s)) {
-                out[e.target] += mass * e.rate;
-            }
-        }
-    };
+double Uniformiser::run(std::span<const double> start, double time,
+                        std::span<const double> reward_rates) {
+    const std::size_t n = states();
+    DPMA_REQUIRE(start.size() == n, "start vector does not match the chain");
+    DPMA_REQUIRE(reward_rates.empty() || reward_rates.size() == n,
+                 "reward vector does not match the chain");
+    DPMA_REQUIRE(time >= 0.0, "negative time");
+    vk_.assign(start.begin(), start.end());
+    normalize(vk_);
+    terms_ = 0;
+    if (time == 0.0) {
+        result_ = vk_;
+        return 0.0;
+    }
 
-    std::vector<double> result(n, 0.0);
-    std::vector<double> vk = pi;
-    std::vector<double> next(n, 0.0);
-    double cumulative = 0.0;
+    const double lt = lambda_ * time;
+    const std::size_t cap = 20 * (static_cast<std::size_t>(lt) + 10);
+    std::fill(result_.begin(), result_.end(), 0.0);
+    bool distribution_open = true;
+    bool reward_open = !reward_rates.empty();
+    // cdf = P(Pois(lt) <= k); the reward half weighs term k by
+    // tail_k / lambda with tail_k = P(Pois(lt) >= k+1).
+    double cdf = 0.0;
+    KahanSum total;
     PoissonWeights weights(lt);
     for (std::size_t k = 0;; ++k, weights.advance()) {
         const double w = weights.current();
-        if (w != 0.0) {
-            for (std::size_t i = 0; i < n; ++i) result[i] += w * vk[i];
+        cdf += w;
+        const bool past_mean = static_cast<double>(k) >= lt;
+        if (distribution_open) {
+            if (w != 0.0) {
+                for (std::size_t i = 0; i < n; ++i) result_[i] += w * vk_[i];
+            }
+            distribution_open = !(cdf >= 1.0 - 1e-12 && past_mean) && k <= cap;
         }
-        cumulative += w;
-        if (cumulative >= 1.0 - 1e-12 && static_cast<double>(k) >= lt) break;
-        if (k > 20 * (static_cast<std::size_t>(lt) + 10)) break;  // safety cap
-        step(vk, next);
-        vk.swap(next);
+        if (reward_open) {
+            const double tail = std::max(0.0, 1.0 - cdf);
+            KahanSum dot;
+            for (std::size_t i = 0; i < n; ++i) dot.add(vk_[i] * reward_rates[i]);
+            total.add(tail / lambda_ * dot.value());
+            reward_open = !(tail < 1e-13 && past_mean) && k <= cap;
+        }
+        if (!distribution_open && !reward_open) {
+            terms_ = k + 1;
+            break;
+        }
+        // v_{k+1} = v_k P, rows in order so every target sums as before.
+        std::fill(next_.begin(), next_.end(), 0.0);
+        for (std::size_t s = 0; s < n; ++s) {
+            next_[s] += vk_[s] * diagonal_[s];
+            const double mass = vk_[s] / lambda_;
+            if (mass == 0.0) continue;
+            for (std::size_t e = offsets_[s]; e < offsets_[s + 1]; ++e) {
+                next_[entries_[e].target] += mass * entries_[e].rate;
+            }
+        }
+        vk_.swap(next_);
     }
-    normalize(result);
-    return result;
+    normalize(result_);
+    return total.value();
+}
+
+std::vector<double> transient(const Ctmc& chain,
+                              const std::vector<std::pair<TangibleId, double>>& initial,
+                              double time) {
+    Uniformiser series(chain);
+    (void)series.run(dense_distribution(chain.num_states(), initial), time);
+    return series.distribution();
 }
 
 double accumulated_reward(const Ctmc& chain,
                           const std::vector<std::pair<TangibleId, double>>& initial,
                           const std::vector<double>& reward_rates, double time) {
-    const std::size_t n = chain.num_states();
-    DPMA_REQUIRE(n >= 1, "empty chain");
-    DPMA_REQUIRE(reward_rates.size() == n, "reward vector does not match the chain");
-    DPMA_REQUIRE(time >= 0.0, "negative time");
-    if (time == 0.0) return 0.0;
-
-    std::vector<double> pi(n, 0.0);
-    for (const auto& [s, p] : initial) {
-        DPMA_REQUIRE(s < n, "initial state out of range");
-        pi[s] += p;
-    }
-    normalize(pi);
-
-    const double lambda = std::max(chain.max_exit_rate() * 1.05, 1e-9);
-    const double lt = lambda * time;
-
-    const auto step = [&](const std::vector<double>& v, std::vector<double>& out) {
-        std::fill(out.begin(), out.end(), 0.0);
-        for (TangibleId s = 0; s < n; ++s) {
-            out[s] += v[s] * (1.0 - chain.exit_rate(s) / lambda);
-            const double mass = v[s] / lambda;
-            if (mass == 0.0) continue;
-            for (const RateEntry& e : chain.row(s)) {
-                out[e.target] += mass * e.rate;
-            }
-        }
-    };
-
-    // tail_k = P(Pois(lt) >= k+1); accumulate (tail_k / lambda) * (v_k . r).
-    KahanSum total;
-    std::vector<double> vk = pi;
-    std::vector<double> next(n, 0.0);
-    double cdf = 0.0;  // P(Pois(lt) <= k)
-    PoissonWeights weights(lt);
-    for (std::size_t k = 0;; ++k, weights.advance()) {
-        cdf += weights.current();
-        const double tail = std::max(0.0, 1.0 - cdf);
-        KahanSum dot;
-        for (std::size_t i = 0; i < n; ++i) dot.add(vk[i] * reward_rates[i]);
-        total.add(tail / lambda * dot.value());
-        if (tail < 1e-13 && static_cast<double>(k) >= lt) break;
-        if (k > 20 * (static_cast<std::size_t>(lt) + 10)) break;  // safety cap
-        step(vk, next);
-        vk.swap(next);
-    }
-    return total.value();
+    // An empty vector would ask the kernel to skip the reward half.
+    DPMA_REQUIRE(reward_rates.size() == chain.num_states(),
+                 "reward vector does not match the chain");
+    Uniformiser series(chain);
+    return series.run(dense_distribution(chain.num_states(), initial), time,
+                      reward_rates);
 }
 
 }  // namespace dpma::ctmc

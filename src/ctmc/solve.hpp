@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -118,8 +119,61 @@ private:
     bool in_log_;
 };
 
+/// Dense vector of \p states masses from sparse (state, mass) entries,
+/// summing repeated states.  Throws when a state is out of range or a mass
+/// is negative or not finite.
+[[nodiscard]] std::vector<double> dense_distribution(
+    std::size_t states, const std::vector<std::pair<TangibleId, double>>& initial);
+
+/// The one implementation of the uniformisation series.  Built once per
+/// chain: it keeps Lambda = max(1.05 * max exit rate, 1e-9), a flat CSR copy
+/// of the rows and the diagonal 1 - exit/Lambda of P = I + Q/Lambda, plus its
+/// own iterate buffers, so a run allocates nothing.
+///
+/// One run walks the iterates v_k = pi(0) P^k once and feeds both halves of
+/// the series from them:
+///  - pi(t) = sum_k pois(Lambda t, k) v_k, closed once the summed weight
+///    reaches 1 - 1e-12 at k >= Lambda t, then normalised;
+///  - E[ integral_0^t r(X_s) ds ] = sum_k P(Pois(Lambda t) >= k+1)/Lambda
+///    * (v_k . r), closed once that tail drops below 1e-13 at k >= Lambda t.
+/// Both share the safety cap k <= 20 (floor(Lambda t) + 10), and the walk
+/// stops when both are closed.  Each half's terms and stopping rule are
+/// those of a series run on its own, so computing both in one pass changes
+/// no bit of either (ctmc_diff_test pins this against standalone series).
+class Uniformiser {
+public:
+    explicit Uniformiser(const Ctmc& chain);
+
+    [[nodiscard]] std::size_t states() const noexcept { return diagonal_.size(); }
+
+    /// Runs the series over [0, \p time] from \p start (nonnegative masses,
+    /// normalised here; size states()).  Leaves pi(time) in distribution()
+    /// and returns the reward accumulated under \p reward_rates; an empty
+    /// \p reward_rates skips that half and returns 0.
+    double run(std::span<const double> start, double time,
+               std::span<const double> reward_rates = {});
+
+    /// pi(time) of the last run.
+    [[nodiscard]] const std::vector<double>& distribution() const noexcept {
+        return result_;
+    }
+    /// Series terms the last run evaluated (one more than its mat-vecs).
+    [[nodiscard]] std::size_t terms() const noexcept { return terms_; }
+
+private:
+    double lambda_;
+    std::vector<std::size_t> offsets_;  ///< row s owns entries_[offsets_[s], offsets_[s+1])
+    std::vector<RateEntry> entries_;
+    std::vector<double> diagonal_;
+    std::vector<double> vk_;
+    std::vector<double> next_;
+    std::vector<double> result_;
+    std::size_t terms_ = 0;
+};
+
 /// Transient distribution pi(t) from \p initial via uniformisation with
-/// adaptive truncation of the Poisson series (truncation mass < 1e-12).
+/// adaptive truncation of the Poisson series (truncation mass < 1e-12); a
+/// one-off Uniformiser run.
 [[nodiscard]] std::vector<double> transient(
     const Ctmc& chain, const std::vector<std::pair<TangibleId, double>>& initial,
     double time);
@@ -128,7 +182,7 @@ private:
 /// where r is a per-state reward rate vector.  Uses the uniformisation
 /// identity  integral_0^t pois(L s, k) ds = P(Pois(L t) >= k+1) / L.
 /// Answers questions like "how much energy does a cold start cost in its
-/// first second?" exactly on the Markovian model.
+/// first second?" exactly on the Markovian model; a one-off Uniformiser run.
 [[nodiscard]] double accumulated_reward(
     const Ctmc& chain, const std::vector<std::pair<TangibleId, double>>& initial,
     const std::vector<double>& reward_rates, double time);

@@ -25,6 +25,7 @@
 /// DPMA_OBS=OFF) turns the DPMA_SPAN macros into nothing for overhead
 /// experiments; the library API stays available but records nothing.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -64,17 +65,19 @@ public:
     Span(const Span&) = delete;
     Span& operator=(const Span&) = delete;
 
-    /// Attaches up to two numeric annotations, rendered into the event's
-    /// "args" object (extra calls beyond two are ignored).  No-op when the
+    /// Attaches up to kMaxArgs numeric annotations, rendered into the
+    /// event's "args" object (extra calls are ignored).  No-op when the
     /// span was constructed with tracing disabled.
     void arg(const char* key, double value) noexcept;
+
+    static constexpr std::size_t kMaxArgs = 3;
 
 private:
     const char* name_;
     const char* category_;
     std::uint64_t start_ns_ = 0;
-    const char* arg_keys_[2] = {nullptr, nullptr};
-    double arg_values_[2] = {0.0, 0.0};
+    const char* arg_keys_[kMaxArgs] = {};
+    double arg_values_[kMaxArgs] = {};
     bool active_;
 };
 

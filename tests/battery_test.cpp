@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "adl/compose.hpp"
 #include "adl/measure.hpp"
@@ -396,6 +397,25 @@ TEST(CtmcBounds, ProfileLifetimeHandlesZeroPowerTail) {
 
     params.capacity = 3.0;  // dies inside the second step
     EXPECT_NEAR(profile_lifetime(profile, params), 1.5, 1e-12);
+}
+
+TEST(CtmcBounds, ProfileRejectsMalformedInputs) {
+    ctmc::Ctmc chain(2);
+    chain.add_rate(0, 1, 1.0);
+    chain.add_rate(1, 0, 2.0);
+    const std::vector<double> power = {1.0, 0.5};
+    EXPECT_NO_THROW((void)transient_power_profile(chain, {{0, 1.0}}, power));
+
+    // A state past the chain would be written outside the distribution.
+    EXPECT_THROW((void)transient_power_profile(chain, {{2, 1.0}}, power), Error);
+    EXPECT_THROW((void)transient_power_profile(chain, {{0, 1.0}, {7, 0.5}}, power), Error);
+    // Masses must be finite and nonnegative.
+    EXPECT_THROW((void)transient_power_profile(chain, {{0, -0.5}, {1, 1.0}}, power), Error);
+    EXPECT_THROW((void)transient_power_profile(chain, {{0, std::nan("")}}, power), Error);
+    EXPECT_THROW((void)transient_power_profile(chain, {{0, HUGE_VAL}}, power), Error);
+    // The power vector must have one entry per state.
+    EXPECT_THROW((void)transient_power_profile(chain, {{0, 1.0}}, {1.0}), Error);
+    EXPECT_THROW((void)transient_power_profile(chain, {{0, 1.0}}, {1.0, 0.5, 0.2}), Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@
 /// (zero-skipping, row-by-row) are compared against the retired
 /// implementations, kept here verbatim as standalone references — the
 /// per-state `std::unordered_map` vanishing elimination and the dense
-/// textbook GTH loops.
+/// textbook GTH loops.  The one-pass uniformisation kernel is compared the
+/// same way against the retired standalone `transient` and
+/// `accumulated_reward` series and the retired two-call battery profile
+/// loop; all of those must be bit-identical too.
 ///
 /// Every merged value of the elimination is summed in the same order as
 /// before, so tangible rates, reach probabilities and the initial
@@ -28,12 +31,14 @@
 
 #include "adl/compose.hpp"
 #include "aemilia/parser.hpp"
+#include "battery/coupling.hpp"
 #include "core/error.hpp"
 #include "core/stats_math.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/solve.hpp"
 #include "exp/cache.hpp"
 #include "models/builder.hpp"
+#include "models/rpc.hpp"
 #include "models/specs.hpp"
 #include "models/streaming.hpp"
 
@@ -472,6 +477,269 @@ TEST(CtmcDiff, GthIsBitIdenticalOnRandomChains) {
     // The sample must exercise both the reducible and the rejecting paths.
     EXPECT_GT(reducible, 10u);
     EXPECT_GT(rejected, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Reference uniformisation: the retired standalone `transient` and
+// `accumulated_reward` series and the retired two-call profile loop of
+// `battery::transient_power_profile`, verbatim.  The one-pass Uniformiser
+// must reproduce all of them bit for bit.
+// ---------------------------------------------------------------------------
+
+void ref_normalize_checked(std::vector<double>& pi) {
+    KahanSum sum;
+    for (double p : pi) sum.add(p);
+    const double total = sum.value();
+    DPMA_REQUIRE(total > 0.0, "probability vector has zero mass");
+    for (double& p : pi) p /= total;
+}
+
+std::vector<double> ref_transient(const Ctmc& chain,
+                                  const std::vector<std::pair<TangibleId, double>>& initial,
+                                  double time) {
+    const std::size_t n = chain.num_states();
+    DPMA_REQUIRE(n >= 1, "empty chain");
+    DPMA_REQUIRE(time >= 0.0, "negative time");
+    std::vector<double> pi(n, 0.0);
+    for (const auto& [s, p] : initial) {
+        DPMA_REQUIRE(s < n, "initial state out of range");
+        pi[s] += p;
+    }
+    ref_normalize_checked(pi);
+    if (time == 0.0) return pi;
+
+    const double lambda = std::max(chain.max_exit_rate() * 1.05, 1e-9);
+    const double lt = lambda * time;
+
+    const auto step = [&](const std::vector<double>& v, std::vector<double>& out) {
+        std::fill(out.begin(), out.end(), 0.0);
+        for (TangibleId s = 0; s < n; ++s) {
+            out[s] += v[s] * (1.0 - chain.exit_rate(s) / lambda);
+            const double mass = v[s] / lambda;
+            if (mass == 0.0) continue;
+            for (const RateEntry& e : chain.row(s)) {
+                out[e.target] += mass * e.rate;
+            }
+        }
+    };
+
+    std::vector<double> result(n, 0.0);
+    std::vector<double> vk = pi;
+    std::vector<double> next(n, 0.0);
+    double cumulative = 0.0;
+    PoissonWeights weights(lt);
+    for (std::size_t k = 0;; ++k, weights.advance()) {
+        const double w = weights.current();
+        if (w != 0.0) {
+            for (std::size_t i = 0; i < n; ++i) result[i] += w * vk[i];
+        }
+        cumulative += w;
+        if (cumulative >= 1.0 - 1e-12 && static_cast<double>(k) >= lt) break;
+        if (k > 20 * (static_cast<std::size_t>(lt) + 10)) break;  // safety cap
+        step(vk, next);
+        vk.swap(next);
+    }
+    ref_normalize_checked(result);
+    return result;
+}
+
+double ref_accumulated_reward(const Ctmc& chain,
+                              const std::vector<std::pair<TangibleId, double>>& initial,
+                              const std::vector<double>& reward_rates, double time) {
+    const std::size_t n = chain.num_states();
+    DPMA_REQUIRE(n >= 1, "empty chain");
+    DPMA_REQUIRE(reward_rates.size() == n, "reward vector does not match the chain");
+    DPMA_REQUIRE(time >= 0.0, "negative time");
+    if (time == 0.0) return 0.0;
+
+    std::vector<double> pi(n, 0.0);
+    for (const auto& [s, p] : initial) {
+        DPMA_REQUIRE(s < n, "initial state out of range");
+        pi[s] += p;
+    }
+    ref_normalize_checked(pi);
+
+    const double lambda = std::max(chain.max_exit_rate() * 1.05, 1e-9);
+    const double lt = lambda * time;
+
+    const auto step = [&](const std::vector<double>& v, std::vector<double>& out) {
+        std::fill(out.begin(), out.end(), 0.0);
+        for (TangibleId s = 0; s < n; ++s) {
+            out[s] += v[s] * (1.0 - chain.exit_rate(s) / lambda);
+            const double mass = v[s] / lambda;
+            if (mass == 0.0) continue;
+            for (const RateEntry& e : chain.row(s)) {
+                out[e.target] += mass * e.rate;
+            }
+        }
+    };
+
+    KahanSum total;
+    std::vector<double> vk = pi;
+    std::vector<double> next(n, 0.0);
+    double cdf = 0.0;  // P(Pois(lt) <= k)
+    PoissonWeights weights(lt);
+    for (std::size_t k = 0;; ++k, weights.advance()) {
+        cdf += weights.current();
+        const double tail = std::max(0.0, 1.0 - cdf);
+        KahanSum dot;
+        for (std::size_t i = 0; i < n; ++i) dot.add(vk[i] * reward_rates[i]);
+        total.add(tail / lambda * dot.value());
+        if (tail < 1e-13 && static_cast<double>(k) >= lt) break;
+        if (k > 20 * (static_cast<std::size_t>(lt) + 10)) break;  // safety cap
+        step(vk, next);
+        vk.swap(next);
+    }
+    return total.value();
+}
+
+battery::PowerProfile ref_power_profile(
+    const Ctmc& chain, const std::vector<std::pair<TangibleId, double>>& initial,
+    const std::vector<double>& power, const battery::ProfileOptions& options) {
+    battery::PowerProfile profile;
+    const double max_exit = chain.max_exit_rate();
+    profile.step = options.step > 0.0
+                       ? options.step
+                       : (max_exit > 0.0 ? 0.5 / max_exit : 1.0);
+
+    std::vector<double> pi(chain.num_states(), 0.0);
+    for (const auto& [state, mass] : initial) {
+        pi[state] += mass;
+    }
+
+    const auto expected_power = [&](const std::vector<double>& dist) {
+        KahanSum sum;
+        for (std::size_t s = 0; s < dist.size(); ++s) {
+            sum.add(dist[s] * power[s]);
+        }
+        return sum.value();
+    };
+    const auto sparse = [](const std::vector<double>& dist) {
+        std::vector<std::pair<TangibleId, double>> entries;
+        for (std::size_t s = 0; s < dist.size(); ++s) {
+            if (dist[s] > 0.0) {
+                entries.emplace_back(static_cast<TangibleId>(s), dist[s]);
+            }
+        }
+        return entries;
+    };
+
+    for (std::size_t i = 0; i < options.max_steps; ++i) {
+        const auto entries = sparse(pi);
+        const double energy = ref_accumulated_reward(chain, entries, power, profile.step);
+        profile.power.push_back(energy / profile.step);
+
+        const std::vector<double> next = ref_transient(chain, entries, profile.step);
+        double delta = 0.0;
+        for (std::size_t s = 0; s < pi.size(); ++s) {
+            delta = std::max(delta, std::abs(next[s] - pi[s]));
+        }
+        pi = next;
+        if (delta < options.tolerance) {
+            profile.stationary = true;
+            break;
+        }
+    }
+    profile.tail_power = expected_power(pi);
+    return profile;
+}
+
+/// A Markovian chain with its power vector: the rpc server and the Fig. 4
+/// streaming NIC at small buffer capacities, DPM off and on.
+struct PowerCase {
+    std::string name;
+    MarkovModel markov;
+    std::vector<double> power;
+};
+
+const std::vector<PowerCase>& power_cases() {
+    static const std::vector<PowerCase> all = [] {
+        std::vector<PowerCase> out;
+        const auto add = [&out](std::string name, const adl::ComposedModel& model,
+                                const adl::Measure& measure) {
+            MarkovModel markov = build_markov(model);
+            std::vector<double> power = battery::tangible_power(markov, model, measure);
+            out.push_back(PowerCase{std::move(name), std::move(markov), std::move(power)});
+        };
+        for (const bool dpm : {false, true}) {
+            const std::string policy = dpm ? " DPM" : " NO-DPM";
+            add("rpc" + policy, models::rpc::compose(models::rpc::markovian(10.0, dpm)),
+                models::rpc::measures()[models::rpc::kEnergyRate]);
+            for (const long capacity : {3L, 4L}) {
+                models::streaming::Config config = models::streaming::markovian(100.0, dpm);
+                config.params.ap_capacity = capacity;
+                config.params.b_capacity = capacity;
+                add("streaming " + std::to_string(capacity) + "/" + std::to_string(capacity) +
+                        policy,
+                    models::streaming::compose(config),
+                    models::streaming::measures()[models::streaming::kEnergyRate]);
+            }
+        }
+        return out;
+    }();
+    return all;
+}
+
+void expect_same_profile(const battery::PowerProfile& got,
+                         const battery::PowerProfile& want) {
+    EXPECT_TRUE(bit_equal(got.step, want.step));
+    EXPECT_EQ(got.power.size(), want.power.size());
+    EXPECT_TRUE(bit_equal(got.power, want.power));
+    EXPECT_TRUE(bit_equal(got.tail_power, want.tail_power));
+    EXPECT_EQ(got.stationary, want.stationary);
+}
+
+TEST(UniformiserDiff, PowerProfileIsBitIdenticalToTheTwoCallLoop) {
+    for (const PowerCase& c : power_cases()) {
+        SCOPED_TRACE(c.name);
+        const Ctmc& chain = c.markov.chain;
+        const auto& initial = c.markov.initial_distribution;
+
+        const battery::ProfileOptions automatic;  // what ctmc_lifetime uses
+        const battery::PowerProfile want = ref_power_profile(chain, initial, c.power, automatic);
+        EXPECT_TRUE(want.stationary);
+        EXPECT_GT(want.power.size(), 1u);
+        expect_same_profile(battery::transient_power_profile(chain, initial, c.power, automatic),
+                            want);
+
+        battery::ProfileOptions explicit_step;
+        explicit_step.step = 4.0;  // long steps: Lambda t reaches ~33 on rpc
+        explicit_step.tolerance = 1e-9;
+        expect_same_profile(
+            battery::transient_power_profile(chain, initial, c.power, explicit_step),
+            ref_power_profile(chain, initial, c.power, explicit_step));
+
+        battery::ProfileOptions capped;
+        capped.max_steps = 7;
+        const battery::PowerProfile capped_want =
+            ref_power_profile(chain, initial, c.power, capped);
+        EXPECT_FALSE(capped_want.stationary);
+        EXPECT_EQ(capped_want.power.size(), 7u);
+        expect_same_profile(battery::transient_power_profile(chain, initial, c.power, capped),
+                            capped_want);
+    }
+}
+
+TEST(UniformiserDiff, WrappersAreBitIdenticalToTheStandaloneSeries) {
+    for (const PowerCase& c : power_cases()) {
+        SCOPED_TRACE(c.name);
+        const Ctmc& chain = c.markov.chain;
+        const double lambda = std::max(chain.max_exit_rate() * 1.05, 1e-9);
+        // An unnormalised two-state start exercises the normalisation too.
+        const std::vector<std::pair<TangibleId, double>> spread = {
+            {0, 2.0}, {static_cast<TangibleId>(chain.num_states() - 1), 3.0}};
+        for (const auto* initial : {&c.markov.initial_distribution, &spread}) {
+            // t = 0, short and long horizons, and Lambda t = 1500: its
+            // Poisson head underflows and is walked in log space.
+            for (const double t : {0.0, 0.3, 5.0, 100.0, 1500.0 / lambda}) {
+                SCOPED_TRACE("t = " + std::to_string(t));
+                EXPECT_TRUE(bit_equal(transient(chain, *initial, t),
+                                      ref_transient(chain, *initial, t)));
+                EXPECT_TRUE(bit_equal(accumulated_reward(chain, *initial, c.power, t),
+                                      ref_accumulated_reward(chain, *initial, c.power, t)));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

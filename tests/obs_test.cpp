@@ -324,6 +324,9 @@ TEST(ObsTrace, SpansProduceValidChromeTraceJson) {
     {
         DPMA_NAMED_SPAN(outer, "test.outer", "test");
         outer.arg("states", 42.0);
+        outer.arg("steps", 7.0);
+        outer.arg("series_terms", 91.0);
+        outer.arg("dropped", 1.0);  // past kMaxArgs: ignored
         DPMA_SPAN("test.inner", "test");
     }
     std::vector<std::thread> threads;
@@ -346,7 +349,10 @@ TEST(ObsTrace, SpansProduceValidChromeTraceJson) {
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
 #if !defined(DPMA_OBS_DISABLED)
     EXPECT_NE(json.find("\"test.outer\""), std::string::npos);
-    EXPECT_NE(json.find("\"states\""), std::string::npos);
+    EXPECT_NE(json.find("\"states\": 42"), std::string::npos);
+    EXPECT_NE(json.find("\"steps\": 7"), std::string::npos);
+    EXPECT_NE(json.find("\"series_terms\": 91"), std::string::npos);
+    EXPECT_EQ(json.find("\"dropped\""), std::string::npos);
 
     const std::vector<obs::SpanStats> summary = obs::span_summary();
     bool found_worker = false;
